@@ -1084,8 +1084,8 @@ let soak_bench ~seed ~quick ~out () =
    suite caps at 40 iterations): the stabilised arm spends >= 3x
    fewer warm-resolve pivots per generated column and >= 2x less
    resolve wall time.  Quick mode blanks every timing so the artifact
-   is a pure function of the seed (pivot and column counts are
-   deterministic). *)
+   is a pure function of the seed (pivot, column and [lp.elim_cells]
+   counts are deterministic). *)
 let master_bench ~seed ~quick ~out () =
   let specs = if quick then [ (300, None) ] else [ (300, None); (1000, Some 0.1) ] in
   let cap n = if n >= 1000 then Some 40 else None in
@@ -1128,16 +1128,17 @@ let master_bench ~seed ~quick ~out () =
       span_sum snap "lp.resolve",
       counter_of snap "lp.degenerate_pivots",
       counter_of snap "colgen.stab_box_widenings",
-      columns )
+      columns,
+      counter_of snap "lp.elim_cells" )
   in
   let rows =
     List.map
       (fun spec ->
         let n, demand = spec in
-        let stab, stab_ppc, stab_resolve_s, stab_degen, widenings, stab_cols =
+        let stab, stab_ppc, stab_resolve_s, stab_degen, widenings, stab_cols, stab_elim =
           arm ~lp_pricing:Column_gen.Devex ~stabilize:true spec
         in
-        let refr, ref_ppc, ref_resolve_s, ref_degen, _, ref_cols =
+        let refr, ref_ppc, ref_resolve_s, ref_degen, _, ref_cols, ref_elim =
           arm ~lp_pricing:Column_gen.Dantzig ~stabilize:false spec
         in
         Printf.printf
@@ -1150,8 +1151,8 @@ let master_bench ~seed ~quick ~out () =
           (Proto.mbps refr.Scale.lower_mbps)
           refr.Scale.certified ref_ppc ref_resolve_s ref_degen ref_cols;
         ( spec,
-          (stab, stab_ppc, stab_resolve_s, stab_degen, widenings, stab_cols),
-          (refr, ref_ppc, ref_resolve_s, ref_degen, ref_cols) ))
+          (stab, stab_ppc, stab_resolve_s, stab_degen, widenings, stab_cols, stab_elim),
+          (refr, ref_ppc, ref_resolve_s, ref_degen, ref_cols, ref_elim) ))
       specs
   in
   (* Wire identity is the certified-regime contract: an anytime row
@@ -1161,14 +1162,14 @@ let master_bench ~seed ~quick ~out () =
      such row must exist (the 300-node row certifies in both modes). *)
   let certified_rows =
     List.filter
-      (fun (_, (stab, _, _, _, _, _), (refr, _, _, _, _)) ->
+      (fun (_, (stab, _, _, _, _, _, _), (refr, _, _, _, _, _)) ->
         stab.Scale.certified && refr.Scale.certified)
       rows
   in
   let wire_identical =
     certified_rows <> []
     && List.for_all
-         (fun (_, (stab, _, _, _, _, _), (refr, _, _, _, _)) ->
+         (fun (_, (stab, _, _, _, _, _, _), (refr, _, _, _, _, _)) ->
            Proto.mbps stab.Scale.lower_mbps = Proto.mbps refr.Scale.lower_mbps)
          certified_rows
   in
@@ -1181,20 +1182,20 @@ let master_bench ~seed ~quick ~out () =
     quick seed wire_identical;
   Printf.fprintf oc "  \"rows\": [\n";
   List.iteri
-    (fun i ((n, demand), (stab, sppc, ss, sd, widen, scols), (refr, rppc, rs, rd, rcols)) ->
+    (fun i ((n, demand), (stab, sppc, ss, sd, widen, scols, selim), (refr, rppc, rs, rd, rcols, relim)) ->
       Printf.fprintf oc
         "    { \"n_nodes\": %d, \"demand_mbps\": %.3f,\n\
         \      \"stabilised\": { \"lower_mbps\": %.3f, \"certified\": %b, \
          \"pivots_per_column\": %.3f, \"resolve_s\": %.6f, \"degenerate_pivots\": %d, \
-         \"columns\": %d, \"box_widenings\": %d },\n\
+         \"columns\": %d, \"box_widenings\": %d, \"elim_cells\": %d },\n\
         \      \"reference\": { \"lower_mbps\": %.3f, \"certified\": %b, \
          \"pivots_per_column\": %.3f, \"resolve_s\": %.6f, \"degenerate_pivots\": %d, \
-         \"columns\": %d } }%s\n"
+         \"columns\": %d, \"elim_cells\": %d } }%s\n"
         n (demand_of demand)
         (Proto.mbps stab.Scale.lower_mbps)
-        stab.Scale.certified sppc (w ss) sd scols widen
+        stab.Scale.certified sppc (w ss) sd scols widen selim
         (Proto.mbps refr.Scale.lower_mbps)
-        refr.Scale.certified rppc (w rs) rd rcols
+        refr.Scale.certified rppc (w rs) rd rcols relim
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -1214,7 +1215,7 @@ let master_bench ~seed ~quick ~out () =
      | None ->
          Printf.eprintf "MASTER FAIL: 1000-node light-load row missing from full run\n";
          failed := true
-     | Some (_, (_, sppc, ss, _, _, _), (_, rppc, rs, _, _)) ->
+     | Some (_, (_, sppc, ss, _, _, _, _), (_, rppc, rs, _, _, _)) ->
          let ppc_ratio = if sppc > 0.0 then rppc /. sppc else Float.infinity in
          let time_ratio = if ss > 0.0 then rs /. ss else Float.infinity in
          Printf.printf

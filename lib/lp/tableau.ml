@@ -24,6 +24,8 @@ let m_predicts = Telemetry.counter "lp.predicts"
 
 let m_predict_repivots = Telemetry.counter "lp.predict_repivots"
 
+let m_elim_cells = Telemetry.counter "lp.elim_cells"
+
 type pricing = Dantzig | Devex
 
 let default_pricing = ref Devex
@@ -42,11 +44,18 @@ let eps = 1e-9
    bounds checks in the pivot loops).  [m] constraint rows plus one
    objective row; the right-hand side lives at the fixed column [cap]
    (the allocated width), so logical columns can grow to [cap] without
-   moving it — columns [ncols .. cap-1] are spare and identically zero,
-   which row operations preserve.  [basis.(i)] is the column basic in
-   row [i].  The objective row encodes [z - c·x = 0] (entries [-c_j],
-   value cell = current objective of a maximisation), so a column may
-   enter while its entry is below -eps. *)
+   moving it.  Row operations touch only the live columns [0, ncols)
+   and the rhs cell, so the spare columns [ncols, cap) are never
+   written and stay exactly [+0.0] — [add_column] accumulates a fresh
+   column on top of them.  [basis.(i)] is the column basic in row [i].
+   The objective row encodes [z - c·x = 0] (entries [-c_j], value cell
+   = current objective of a maximisation), so a column may enter while
+   its entry is below -eps.
+
+   [support] is the pivot's scratch (see {!pivot}) and [snap] /
+   [snap_basis] the rollback copy of [data] / [basis].  All three belong
+   to the tableau, never to the module, so tableaux solved on different
+   domains share no mutable state. *)
 type tab = {
   mutable data : float array;  (* (m+1) × (cap+1), row-major *)
   m : int;
@@ -55,6 +64,9 @@ type tab = {
   basis : int array;
   n_struct : int;  (* structural columns: originals plus slack/surplus *)
   n_art : int;  (* artificials occupy [n_struct, n_struct + n_art) *)
+  mutable support : int array;  (* length cap + 1 *)
+  mutable snap : float array;  (* sized on first save, re-sized after growth *)
+  snap_basis : int array;
 }
 
 let stride tab = tab.cap + 1
@@ -69,24 +81,21 @@ let reduced_cost tab j = get tab tab.m j
 
 let is_artificial tab j = j >= tab.n_struct && j < tab.n_struct + tab.n_art
 
-(* Row operations over the full allocated width, same float order as
-   the former [Matrix] versions (per-cell [a *. x] / [x +. a *. y]). *)
-let scale_row tab i a =
-  let d = tab.data in
-  let base = i * stride tab in
-  for j = base to base + tab.cap do
-    Array.unsafe_set d j (a *. Array.unsafe_get d j)
-  done
-
+(* Row operation over the live columns and the rhs cell, same per-cell
+   float order as the former [Matrix] version ([x +. a *. y]). *)
 let add_scaled_row tab ~src ~dst a =
   if a <> 0.0 then begin
     let d = tab.data in
     let sb = src * stride tab in
     let db = dst * stride tab in
-    for j = 0 to tab.cap do
+    let upd j =
       Array.unsafe_set d (db + j)
         (Array.unsafe_get d (db + j) +. (a *. Array.unsafe_get d (sb + j)))
-    done
+    in
+    for j = 0 to tab.ncols - 1 do
+      upd j
+    done;
+    upd tab.cap
   end
 
 (* Eliminate basic columns from the objective row so it holds genuine
@@ -98,17 +107,66 @@ let price_out tab =
     if Float.abs r > 0.0 then add_scaled_row tab ~src:i ~dst:tab.m (-.r)
   done
 
+(* Pivot on the support of the pivot row.  Scaling gathers the indices
+   of the row's nonzero live entries, plus the rhs column, into
+   [support]; each row with a nonzero pivot-column entry is then updated
+   at those indices only.  A skipped cell would have computed
+   [x +. a *. (±0)], which equals [x] up to the sign of a zero result,
+   and a skipped scaling leaves a ±0 entry ±0: every nonzero cell is
+   bit-identical to a dense pivot.  Signed zeros cannot steer the
+   simplex — every test here compares against eps or [0.0], where
+   [-0. = +0.] — and the answers quantised for output map [-0.] to
+   [0.].  [lp.elim_cells] counts the cells the eliminations write. *)
 let pivot tab ~row ~col =
-  let p = get tab row col in
-  scale_row tab row (1.0 /. p);
+  let d = tab.data in
+  let s = stride tab in
+  let rb = row * s in
+  let a = 1.0 /. Array.unsafe_get d (rb + col) in
+  let support = tab.support in
+  let nnz = ref 0 in
+  for j = 0 to tab.ncols - 1 do
+    let v = Array.unsafe_get d (rb + j) in
+    if v <> 0.0 then begin
+      Array.unsafe_set d (rb + j) (a *. v);
+      Array.unsafe_set support !nnz j;
+      incr nnz
+    end
+  done;
+  Array.unsafe_set d (rb + tab.cap) (a *. Array.unsafe_get d (rb + tab.cap));
+  Array.unsafe_set support !nnz tab.cap;
+  let nnz = !nnz + 1 in
+  let updated = ref 0 in
   for i = 0 to tab.m do
     if i <> row then begin
-      let coeff = get tab i col in
-      if Float.abs coeff > 0.0 then add_scaled_row tab ~src:row ~dst:i (-.coeff)
+      let ib = i * s in
+      let coeff = Array.unsafe_get d (ib + col) in
+      if Float.abs coeff > 0.0 then begin
+        let c = -.coeff in
+        for k = 0 to nnz - 1 do
+          let j = Array.unsafe_get support k in
+          Array.unsafe_set d (ib + j)
+            (Array.unsafe_get d (ib + j) +. (c *. Array.unsafe_get d (rb + j)))
+        done;
+        incr updated
+      end
     end
   done;
   tab.basis.(row) <- col;
-  Telemetry.incr m_pivots
+  Telemetry.incr m_pivots;
+  Telemetry.add m_elim_cells (!updated * nnz)
+
+(* Rollback point for the perturbed resolve and the predict re-pivots.
+   One copy per tableau, reused across calls; [add_column] never runs
+   between a [save] and its [restore], so [data] keeps its size. *)
+let save tab =
+  if Array.length tab.snap = Array.length tab.data then
+    Array.blit tab.data 0 tab.snap 0 (Array.length tab.data)
+  else tab.snap <- Array.copy tab.data;
+  Array.blit tab.basis 0 tab.snap_basis 0 tab.m
+
+let restore tab =
+  Array.blit tab.snap 0 tab.data 0 (Array.length tab.data);
+  Array.blit tab.snap_basis 0 tab.basis 0 tab.m
 
 (* Entering column: Dantzig rule (most negative reduced cost) normally,
    Bland rule (lowest eligible index) once [bland] is set. *)
@@ -372,7 +430,10 @@ let solve_raw ~pricing ~perturb ~a ~b ~c ~senses =
   let ncols = n_struct + n_art in
   let data = Array.make ((m + 1) * (ncols + 1)) 0.0 in
   let basis = Array.make m (-1) in
-  let tab = { data; m; ncols; cap = ncols; basis; n_struct; n_art } in
+  let tab =
+    { data; m; ncols; cap = ncols; basis; n_struct; n_art;
+      support = Array.make (ncols + 1) 0; snap = [||]; snap_basis = Array.make m 0 }
+  in
   let slack_cursor = ref n in
   let art_cursor = ref n_struct in
   (* Per row, a unit "signature" column whose final objective-row entry
@@ -470,7 +531,8 @@ let add_column st ~coeffs ~cost =
       data'.((i * (cap' + 1)) + cap') <- tab.data.((i * s) + tab.cap)
     done;
     tab.data <- data';
-    tab.cap <- cap'
+    tab.cap <- cap';
+    tab.support <- Array.make (cap' + 1) 0
   end;
   if Array.length st.devex_w < tab.cap then begin
     (* Grow the Devex weights alongside; fresh columns join the current
@@ -555,8 +617,7 @@ let reoptimize_raw st =
     | Devex -> optimise_devex st ~allowed ~iters:m_phase2_iters
   in
   if st.perturb && degenerate_rows tab >= perturb_threshold then begin
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save tab;
     let m = float_of_int tab.m in
     for i = 0 to tab.m - 1 do
       if Float.abs (rhs tab i) <= eps then
@@ -565,8 +626,7 @@ let reoptimize_raw st =
     match run () with
     | Finished when cleanup_rhs st -> Finished
     | _ ->
-      Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-      Array.blit basis_snap 0 tab.basis 0 tab.m;
+      restore tab;
       run ()
   end
   else run ()
@@ -723,8 +783,7 @@ let predict_rhs st ~dir ~t =
       false )
   else begin
     Telemetry.incr m_predict_repivots;
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save tab;
     for i = 0 to tab.m do
       set tab i tab.cap (rhs tab i +. (t *. g.(i)))
     done;
@@ -744,8 +803,7 @@ let predict_rhs st ~dir ~t =
         | Unbounded_phase -> Unbounded
         | Finished -> extract st)
     in
-    Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-    Array.blit basis_snap 0 tab.basis 0 tab.m;
+    restore tab;
     (outcome, true)
   end
 
@@ -804,8 +862,7 @@ let predict_cost st ~col:xi ~delta =
     end
   else begin
     Telemetry.incr m_predict_repivots;
-    let data_snap = Array.copy tab.data in
-    let basis_snap = Array.copy tab.basis in
+    save tab;
     set tab tab.m j (get tab tab.m j -. delta);
     if !row >= 0 then add_scaled_row tab ~src:!row ~dst:tab.m delta;
     let outcome =
@@ -815,7 +872,6 @@ let predict_cost st ~col:xi ~delta =
       | Unbounded_phase -> Unbounded
       | Finished -> extract st
     in
-    Array.blit data_snap 0 tab.data 0 (Array.length data_snap);
-    Array.blit basis_snap 0 tab.basis 0 tab.m;
+    restore tab;
     (outcome, true)
   end

@@ -728,10 +728,76 @@ let qcheck_flat_parity_warm =
       | (_, None), (_, None) -> true
       | _ -> false)
 
+(* A covering master in the shape column generation solves for Eq. 6:
+   maximise λ (column 0) over [m - 1] link rows
+   [r_l·α_l + Σ_s r_s(l)·α_s − d_l·λ ≥ load_l] and one airtime row
+   [Σ α ≤ 1], seeded with one singleton set per link.  Most loads are
+   zero, so most link rows are Ge rows with a zero rhs that the solver
+   flips; the loaded ones start with an artificial and run phase 1.
+   The appended sets are sparse with 0/1-heavy rates, so pivot rows are
+   mostly zeros.  72 appends cross at least two capacity doublings:
+   the initial width is at most 16 + 16 + 15 = 47 columns, the first
+   append grows it to 2·47 + 8 = 102, and that fills after 55 more. *)
+type eq6_master = {
+  rows : float array array;
+  b : float array;
+  senses : Types.sense array;
+  c : float array;
+  appends : (int * float) list list;
+}
+
+let eq6_master_gen =
+  QCheck.Gen.(
+    int_range 8 16 >>= fun m ->
+    let links = m - 1 in
+    let rate = oneofl [ 1.0; 1.0; 1.0; 1.0; 2.0; 5.5; 11.0 ] in
+    let link = triple rate (oneofl [ 0.0; 0.0; 0.5; 1.0 ]) (oneofl [ 0.0; 0.0; 0.0; 0.05 ]) in
+    let set_col =
+      int_range 1 4 >>= fun k ->
+      list_repeat k (pair (int_bound (links - 1)) rate) >|= fun entries -> (links, 1.0) :: entries
+    in
+    pair (array_repeat links link) (list_repeat 72 set_col) >|= fun (link, appends) ->
+    let n = 1 + links in
+    let rows =
+      Array.init m (fun i ->
+          Array.init n (fun j ->
+              if i = links then if j = 0 then 0.0 else 1.0
+              else
+                let r, d, _ = link.(i) in
+                (* Link 0 is always on the path, so λ is bounded. *)
+                if j = 0 then if i = 0 then -1.0 else -.d
+                else if j = i + 1 then r
+                else 0.0))
+    in
+    let b = Array.init m (fun i -> if i = links then 1.0 else let _, _, load = link.(i) in load) in
+    let senses = Array.init m (fun i -> if i = links then Types.Le else Types.Ge) in
+    let c = Array.init n (fun j -> if j = 0 then 1.0 else 0.0) in
+    { rows; b; senses; c; appends })
+
+let qcheck_eq6_parity_warm =
+  QCheck.Test.make ~name:"Eq. 6-shaped warm masters bit-identical to Matrix layout" ~count:100
+    (QCheck.make eq6_master_gen) (fun mst ->
+      let a = Matrix.of_rows mst.rows and b = mst.b and c = mst.c and senses = mst.senses in
+      match
+        ( Tableau.solve_open ~pricing:Tableau.Dantzig ~perturb:false ~a ~b ~c ~senses (),
+          Ref_tableau.solve_open ~a ~b ~c ~senses )
+      with
+      | (r_new, Some st_new), (r_old, Some st_old) ->
+        results_bit_identical r_new r_old
+        && List.for_all
+             (fun coeffs ->
+               Tableau.add_column st_new ~coeffs ~cost:0.0
+               = Ref_tableau.add_column st_old ~coeffs ~cost:0.0
+               && results_bit_identical (Tableau.reoptimize st_new) (Ref_tableau.reoptimize st_old))
+             mst.appends
+      | (r_new, None), (r_old, None) -> results_bit_identical r_new r_old
+      | _ -> false)
+
 let parity_suite =
   [
     QCheck_alcotest.to_alcotest qcheck_flat_parity_solve;
     QCheck_alcotest.to_alcotest qcheck_flat_parity_warm;
+    QCheck_alcotest.to_alcotest qcheck_eq6_parity_warm;
   ]
 
 (* --- Devex pricing and perturbation vs the Dantzig reference -------- *)
@@ -1077,3 +1143,63 @@ let sensitivity_suite =
   ]
 
 let suite = suite @ parity_suite @ stabilisation_suite @ sensitivity_suite
+
+(* --- Domain safety: tableaux on different domains share no state ---- *)
+
+(* Every result of one Eq. 6 master's warm chain on the shipped default
+   path (Devex pricing, perturbation with its rollback), from scratch. *)
+let eq6_chain mst =
+  let a = Matrix.of_rows mst.rows in
+  match Tableau.solve_open ~a ~b:mst.b ~c:mst.c ~senses:mst.senses () with
+  | r, None -> [ r ]
+  | r, Some st ->
+    r
+    :: List.map
+         (fun coeffs ->
+           ignore (Tableau.add_column st ~coeffs ~cost:0.0);
+           Tableau.reoptimize st)
+         mst.appends
+
+let same_result r1 r2 =
+  match (r1, r2) with
+  | Tableau.Unbounded, Tableau.Unbounded | Tableau.Infeasible, Tableau.Infeasible -> true
+  | ( Tableau.Optimal { x; objective; duals },
+      Tableau.Optimal { x = x'; objective = objective'; duals = duals' } ) ->
+    Float.equal objective objective'
+    && Array.length x = Array.length x'
+    && Array.for_all2 Float.equal x x'
+    && Array.for_all2 Float.equal duals duals'
+  | _ -> false
+
+(* Two domains replay the same chains at once and each must match the
+   sequential run.  A pivot scratch or rollback buffer shared at module
+   level lets one domain's pivot overwrite the other's (wrong answers,
+   or a crash through the unchecked indices).  The domains start
+   together and walk the masters in opposite orders: in lockstep on the
+   same master they would write identical scratch contents and hide
+   the race. *)
+let domain_parallel_chains () =
+  let masters =
+    List.init 16 (fun k -> QCheck.Gen.generate1 ~rand:(Random.State.make [| k |]) eq6_master_gen)
+  in
+  let run masters = List.map eq6_chain masters in
+  let expected = run masters in
+  let agrees got = List.for_all2 (List.for_all2 same_result) expected got in
+  for _ = 1 to 4 do
+    let ready = Atomic.make 0 in
+    let racer masters () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      run masters
+    in
+    let d1 = Domain.spawn (racer masters) and d2 = Domain.spawn (racer (List.rev masters)) in
+    let r1 = Domain.join d1 and r2 = List.rev (Domain.join d2) in
+    check Alcotest.bool "domain 1 matches the sequential run" true (agrees r1);
+    check Alcotest.bool "domain 2 matches the sequential run" true (agrees r2)
+  done
+
+let domain_suite =
+  [ Alcotest.test_case "warm chains on two domains match a sequential run" `Quick
+      domain_parallel_chains ]
