@@ -1,9 +1,15 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke sweep-smoke parallel-smoke bench-parallel bench-mac mac-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke parallel-smoke bench-parallel bench-mac mac-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
 
 all:
 	dune build
+
+# Where the *-smoke targets write their artifacts.  Run on their own
+# they refresh the committed BENCH_*_quick.json files; `make check`
+# points them at CHECK_OUT instead, so a check never dirties the tree.
+SMOKE_OUT ?= .
+CHECK_OUT ?= _build/check
 
 # Tier-1 verification: full build + every test suite (which includes
 # the sweep smoke below; listing it keeps the gate explicit and the
@@ -13,12 +19,50 @@ check:
 	dune runtest
 	$(MAKE) sweep-smoke
 	$(MAKE) serve-smoke
-	$(MAKE) parallel-smoke
-	$(MAKE) mac-smoke
-	$(MAKE) scale-smoke
-	$(MAKE) soak-smoke
-	$(MAKE) master-smoke
-	$(MAKE) whatif-smoke
+	$(MAKE) parallel-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) mac-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) scale-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) soak-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) master-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) whatif-smoke SMOKE_OUT=$(CHECK_OUT)
+	$(MAKE) artifacts-check
+
+# The six deterministic artifacts: pure functions of the code (the
+# telemetry baseline at seed 30), committed at the repository root.
+ARTIFACTS = BENCH_master_quick.json BENCH_scale_quick.json BENCH_server_quick.json \
+	BENCH_soak_quick.json BENCH_whatif_quick.json BENCH_telemetry.json
+
+# $(call gen_artifacts,DIR): regenerate the six artifacts into DIR.
+define gen_artifacts
+	mkdir -p $(1)
+	dune exec bench/main.exe -- --master-quick --master-out $(1)/BENCH_master_quick.json >/dev/null
+	dune exec bench/main.exe -- --scale-quick --scale-out $(1)/BENCH_scale_quick.json >/dev/null
+	dune exec bench/main.exe -- --serve-quick --serve-out $(1)/BENCH_server_quick.json >/dev/null
+	dune exec bench/main.exe -- --soak-quick --soak-out $(1)/BENCH_soak_quick.json >/dev/null
+	dune exec bench/main.exe -- --whatif-quick --whatif-out $(1)/BENCH_whatif_quick.json >/dev/null
+	dune exec bench/main.exe -- --seed 30 --no-timing --telemetry-out $(1)/BENCH_telemetry.json >/dev/null
+endef
+
+# Refresh the committed artifacts in place.
+artifacts:
+	$(call gen_artifacts,.)
+
+# Answers-unchanged gate: regenerate the artifacts into CHECK_OUT and
+# require each to be byte-identical to the committed copy (a mismatch
+# prints the diff); part of `make check`.
+artifacts-check:
+	rm -rf $(CHECK_OUT)/artifacts
+	$(call gen_artifacts,$(CHECK_OUT)/artifacts)
+	@status=0; \
+	for f in $(ARTIFACTS); do \
+	  if ! cmp -s $$f $(CHECK_OUT)/artifacts/$$f; then \
+	    echo "artifacts-check: $$f differs from a fresh regeneration:"; \
+	    diff $$f $(CHECK_OUT)/artifacts/$$f; \
+	    status=1; \
+	  fi; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "artifacts-check: $(words $(ARTIFACTS)) artifacts byte-identical"; fi; \
+	exit $$status
 
 # Engine sweep smoke: a tiny fixed-seed grid through the real CLI under
 # -j2, asserting the exit-code policy, journal contents, warm-cache
@@ -40,8 +84,9 @@ SEED ?= 30
 bench:
 	dune exec bench/main.exe -- --seed $(SEED)
 
-# Three-arm perf suite (naive/cold, kernel/cold, kernel/warm) on a fixed
-# seed with a reduced workload; finishes in well under 30 s.
+# Two-arm perf suite (naive SINR model vs conflict kernel, both on the
+# warm master) on a fixed seed with a reduced workload; finishes in well
+# under 30 s.
 bench-quick:
 	dune exec bench/main.exe -- --perf-quick --perf-out BENCH_perf_quick.json
 
@@ -61,7 +106,8 @@ bench-parallel:
 # Same suite, reduced workload — the determinism gate in seconds; part
 # of `make check`.
 parallel-smoke:
-	dune exec bench/main.exe -- --parallel-quick --parallel-out BENCH_parallel_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --parallel-quick --parallel-out $(SMOKE_OUT)/BENCH_parallel_quick.json
 
 # MAC-simulator suite: the event-driven fast path vs the retained
 # reference loop on a saturated and a lightly loaded scenario.
@@ -73,7 +119,8 @@ bench-mac:
 # Same suite with reduced horizons — the identity gate in seconds; part
 # of `make check`.
 mac-smoke:
-	dune exec bench/main.exe -- --mac-quick --mac-out BENCH_mac_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --mac-quick --mac-out $(SMOKE_OUT)/BENCH_mac_quick.json
 
 # Admission-server suite: one Poisson admit/release/query trace through
 # a warm session and the cold reference.  Byte identity of the response
@@ -97,7 +144,8 @@ bench-scale:
 # soundness gates in seconds, byte-deterministic artifact; part of
 # `make check`.
 scale-smoke:
-	dune exec bench/main.exe -- --scale-quick --scale-out BENCH_scale_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --scale-quick --scale-out $(SMOKE_OUT)/BENCH_scale_quick.json
 
 # Soak suite: a seeded 24 h dynamic scenario (flow churn, diurnal load,
 # node join/leave, waypoint drift) replayed under incremental
@@ -111,7 +159,8 @@ bench-soak:
 # Same suite on a short horizon with timings blanked — the identity
 # gates in seconds, byte-deterministic artifact; part of `make check`.
 soak-smoke:
-	dune exec bench/main.exe -- --soak-quick --soak-out BENCH_soak_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --soak-quick --soak-out $(SMOKE_OUT)/BENCH_soak_quick.json
 
 # Master-LP suite: the stabilised column-generation master (Devex
 # pricing, dual stabilisation, degenerate-pivot perturbation) vs the
@@ -125,7 +174,8 @@ bench-master:
 # Same suite at 300 nodes with timings blanked — the wire-identity gate
 # in seconds, byte-deterministic artifact; part of `make check`.
 master-smoke:
-	dune exec bench/main.exe -- --master-quick --master-out BENCH_master_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --master-quick --master-out $(SMOKE_OUT)/BENCH_master_quick.json
 
 # Whatif suite: demand-scaling what-if queries answered from the warm
 # master's cached optimal basis vs fresh certified re-solves.  Wire
@@ -138,14 +188,16 @@ bench-whatif:
 # identity gate in seconds, byte-deterministic artifact; part of
 # `make check`.
 whatif-smoke:
-	dune exec bench/main.exe -- --whatif-quick --whatif-out BENCH_whatif_quick.json
+	mkdir -p $(SMOKE_OUT)
+	dune exec bench/main.exe -- --whatif-quick --whatif-out $(SMOKE_OUT)/BENCH_whatif_quick.json
 
 # Perf regression gate: tier-1 must pass, and the fast arm's counters on
 # the quick workload must stay within 10% of the committed baseline
 # (refresh with: dune exec bench/main.exe -- --perf-quick
 #  --write-perf-baseline bench/perf_baseline.txt).
 perfcheck: check
-	dune exec bench/main.exe -- --perf-quick --perf-out BENCH_perf_quick.json --check-perf bench/perf_baseline.txt
+	mkdir -p $(CHECK_OUT)
+	dune exec bench/main.exe -- --perf-quick --perf-out $(CHECK_OUT)/BENCH_perf_quick.json --check-perf bench/perf_baseline.txt
 
 # Everything compiles, including examples and benches.
 smoke:

@@ -83,7 +83,7 @@ let experiment_tests =
       (Staged.stage (fun () ->
            let topo = Wsn_net.Builders.chain ~spacing_m:55.0 12 in
            let model = Wsn_conflict.Model.physical topo in
-           Wsn_availbw.Column_gen.path_capacity model
+           Wsn_availbw.Column_gen.available model ~background:[]
              ~path:(Wsn_net.Builders.chain_hop_links topo)));
   ]
 
@@ -157,7 +157,7 @@ let benchmark ~seed () =
       else Printf.printf "%-38s %10.2f ns/run\n" name ns)
     (List.sort compare rows)
 
-(* --- perf suite: naive/cold reference vs kernel/warm fast path ------ *)
+(* --- perf suite: naive-model reference vs conflict-kernel fast path -- *)
 
 module Registry = Wsn_telemetry.Registry
 module Admission = Wsn_routing.Admission
@@ -169,17 +169,13 @@ module Independent = Wsn_conflict.Independent
 module Schedule = Wsn_sched.Schedule
 
 (* The perf artifact prints floats as hex literals: the fast
-   configuration (conflict kernel + warm-started master) must reproduce
-   the reference (naive model + cold master) byte for byte.  The one
-   exception is LP basic-variable values (schedule shares): the warm
-   master reaches the same optimum through a different arithmetic path
-   (incremental tableau updates instead of a rebuild), so shares carry
-   1-2 ulps of round-off and are printed at 12 significant digits
-   instead — still far beyond any experiment's reported precision. *)
+   configuration (conflict kernel) must reproduce the reference (naive
+   SINR model) byte for byte, schedule shares included — both arms run
+   the same warm master over the same columns. *)
 let add_schedule buf sched =
   List.iter
     (fun (s : Schedule.slot) ->
-      Printf.bprintf buf "slot [%s] [%s] %.12g\n"
+      Printf.bprintf buf "slot [%s] [%s] %h\n"
         (String.concat "," (List.map string_of_int s.Schedule.links))
         (String.concat "," (List.map string_of_int s.Schedule.rates))
         s.Schedule.share)
@@ -201,8 +197,8 @@ let add_admission_run buf (run : Admission.run) =
 (* One full Fig. 2-style pass over the random scenario: sequential
    admission per routing metric, a column-generation pass over the
    final background, and an explicit independent-set enumeration.
-   Returns the printed artifact and the colgen optimum. *)
-let perf_pipeline ~seed ~n_flows ~metrics ~kernel ~warm () =
+   Returns the printed artifact. *)
+let perf_pipeline ~seed ~n_flows ~metrics ~kernel () =
   let scenario = RS.generate ~n_flows ~seed () in
   let topo = scenario.RS.topology in
   let model = if kernel then Model.physical topo else Model.physical_naive topo in
@@ -219,16 +215,14 @@ let perf_pipeline ~seed ~n_flows ~metrics ~kernel ~warm () =
         Some run)
       None metrics
   in
-  let colgen_mbps = ref nan in
   (match last_run with
    | None -> ()
    | Some run -> (
      match Admission.admitted_flows run with
      | [] -> Buffer.add_string buf "no admitted flows\n"
      | f :: rest ->
-       (match Column_gen.available ~warm model ~background:rest ~path:(Flow.links f) with
+       (match Column_gen.available model ~background:rest ~path:(Flow.links f) with
         | Some r ->
-          colgen_mbps := r.Column_gen.bandwidth_mbps;
           Printf.bprintf buf "colgen avail=%h cols=%d iters=%d\n" r.Column_gen.bandwidth_mbps
             r.Column_gen.columns_generated r.Column_gen.iterations;
           add_schedule buf r.Column_gen.schedule
@@ -243,28 +237,26 @@ let perf_pipeline ~seed ~n_flows ~metrics ~kernel ~warm () =
              (String.concat "," (List.map string_of_int c.Independent.rates))
              (String.concat "," (List.map (Printf.sprintf "%h") (Array.to_list c.Independent.mbps))))
          cols));
-  (Buffer.contents buf, !colgen_mbps)
+  Buffer.contents buf
 
 type arm = {
   artifact : string;
-  colgen_mbps : float;
   wall_s : float;
   counters : (string * int) list;
   spans : (string * float) list;  (* name, summed seconds *)
 }
 
-let run_arm ~seed ~n_flows ~metrics ~kernel ~warm () =
+let run_arm ~seed ~n_flows ~metrics ~kernel () =
   Registry.reset ();
   Registry.set_enabled true;
   let t0 = Unix.gettimeofday () in
-  let artifact, colgen_mbps = perf_pipeline ~seed ~n_flows ~metrics ~kernel ~warm () in
+  let artifact = perf_pipeline ~seed ~n_flows ~metrics ~kernel () in
   let wall_s = Unix.gettimeofday () -. t0 in
   let snap = Registry.snapshot () in
   Registry.set_enabled false;
   Registry.reset ();
   {
     artifact;
-    colgen_mbps;
     wall_s;
     counters = snap.Registry.counters;
     spans = List.map (fun (n, d) -> (n, d.Registry.sum)) snap.Registry.spans;
@@ -283,7 +275,7 @@ let perf_spans = [ "colgen.available"; "pathbw.solve"; "independent.columns" ]
 
 let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
-let write_perf_json ~path ~seed ~quick ~naive ~kernel_cold ~fast ~identical ~warm_drift =
+let write_perf_json ~path ~seed ~quick ~naive ~fast ~identical =
   let buf = Buffer.create 4096 in
   let arm_json a =
     let counters =
@@ -300,7 +292,6 @@ let write_perf_json ~path ~seed ~quick ~naive ~kernel_cold ~fast ~identical ~war
   let ratio num den = if den > 0.0 then json_float (num /. den) else "null" in
   Printf.bprintf buf "{\n  \"seed\": %Ld,\n  \"quick\": %b,\n" seed quick;
   Printf.bprintf buf "  \"outputs_identical\": %b,\n" identical;
-  Printf.bprintf buf "  \"warm_optimum_drift\": %s,\n" (json_float warm_drift);
   Printf.bprintf buf "  \"sinr_evals\": {\"naive\": %d, \"fast\": %d, \"ratio\": %s},\n"
     (sinr_work naive) (sinr_work fast)
     (ratio (float_of_int (sinr_work naive)) (float_of_int (sinr_work fast)));
@@ -310,8 +301,7 @@ let write_perf_json ~path ~seed ~quick ~naive ~kernel_cold ~fast ~identical ~war
           (fun s -> Printf.sprintf "\"%s\": %s" s (ratio (span_of naive s) (span_of fast s)))
           perf_spans));
   Printf.bprintf buf "  \"wall_speedup\": %s,\n" (ratio naive.wall_s fast.wall_s);
-  Printf.bprintf buf "  \"naive\": %s,\n  \"kernel_cold\": %s,\n  \"fast\": %s\n}\n"
-    (arm_json naive) (arm_json kernel_cold) (arm_json fast);
+  Printf.bprintf buf "  \"naive\": %s,\n  \"fast\": %s\n}\n" (arm_json naive) (arm_json fast);
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc
@@ -324,25 +314,15 @@ let perf ~seed ~quick ~out ~baseline_out ~check () =
   in
   Printf.printf "perf suite: seed %Ld, %d flows, %s mode\n%!" seed n_flows
     (if quick then "quick" else "full");
-  (* Three arms, two claims.  Kernel vs naive (both cold masters):
-     byte-identical outputs — the kernel is behaviourally invisible.
-     Warm vs cold (timing headline naive/cold vs kernel/warm): same
-     optimum up to simplex round-off; a degenerate master may follow a
-     different (equally optimal) column sequence, so the schedules are
-     compared by optimum value, not bytes. *)
-  let naive = run_arm ~seed ~n_flows ~metrics ~kernel:false ~warm:false () in
-  Printf.printf "  naive/cold:  %.2fs, %d raw SINR evals\n%!" naive.wall_s (sinr_work naive);
-  let kernel_cold = run_arm ~seed ~n_flows ~metrics ~kernel:true ~warm:false () in
-  Printf.printf "  kernel/cold: %.2fs, %d rate evals\n%!" kernel_cold.wall_s (sinr_work kernel_cold);
-  let fast = run_arm ~seed ~n_flows ~metrics ~kernel:true ~warm:true () in
-  Printf.printf "  kernel/warm: %.2fs, %d rate evals\n%!" fast.wall_s (sinr_work fast);
-  let identical = String.equal naive.artifact kernel_cold.artifact in
-  let warm_drift =
-    if Float.is_nan naive.colgen_mbps && Float.is_nan fast.colgen_mbps then 0.0
-    else Float.abs (naive.colgen_mbps -. fast.colgen_mbps)
-  in
+  (* Two arms, one claim: the naive SINR model and the conflict kernel
+     (both under the warm master) print byte-identical outputs — the
+     kernel is behaviourally invisible. *)
+  let naive = run_arm ~seed ~n_flows ~metrics ~kernel:false () in
+  Printf.printf "  naive:  %.2fs, %d raw SINR evals\n%!" naive.wall_s (sinr_work naive);
+  let fast = run_arm ~seed ~n_flows ~metrics ~kernel:true () in
+  Printf.printf "  kernel: %.2fs, %d rate evals\n%!" fast.wall_s (sinr_work fast);
+  let identical = String.equal naive.artifact fast.artifact in
   Printf.printf "  outputs identical (kernel vs naive): %b\n" identical;
-  Printf.printf "  warm optimum drift: %.3g Mbps\n" warm_drift;
   Printf.printf "  SINR-eval ratio: %.1fx fewer\n"
     (float_of_int (sinr_work naive) /. float_of_int (max 1 (sinr_work fast)));
   List.iter
@@ -350,7 +330,7 @@ let perf ~seed ~quick ~out ~baseline_out ~check () =
       let n = span_of naive s and f = span_of fast s in
       if f > 0.0 then Printf.printf "  span %-22s %.3fs -> %.3fs (%.1fx)\n" s n f (n /. f))
     perf_spans;
-  write_perf_json ~path:out ~seed ~quick ~naive ~kernel_cold ~fast ~identical ~warm_drift;
+  write_perf_json ~path:out ~seed ~quick ~naive ~fast ~identical;
   Printf.printf "wrote %s\n" out;
   (match baseline_out with
    | None -> ()
@@ -369,12 +349,7 @@ let perf ~seed ~quick ~out ~baseline_out ~check () =
       path
     in
     Printf.eprintf "PERF FAIL: kernel outputs differ from the naive reference (diff %s %s)\n"
-      (dump ".naive.txt" naive) (dump ".fast.txt" kernel_cold);
-    failed := true
-  end;
-  if warm_drift > 1e-6 || Float.is_nan naive.colgen_mbps <> Float.is_nan fast.colgen_mbps then begin
-    Printf.eprintf "PERF FAIL: warm-started optimum drifted %.3g Mbps from the cold reference\n"
-      warm_drift;
+      (dump ".naive.txt" naive) (dump ".fast.txt" fast);
     failed := true
   end;
   (match check with
@@ -550,7 +525,7 @@ let parallel_bench ~quick ~out () =
   let pipeline_arm domains =
     Wsn_parallel.Pool.set_domains domains;
     let t0 = Unix.gettimeofday () in
-    let artifact, _ = perf_pipeline ~seed ~n_flows ~metrics ~kernel:true ~warm:true () in
+    let artifact = perf_pipeline ~seed ~n_flows ~metrics ~kernel:true () in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf "  pipeline d=%d: %.2fs\n%!" domains wall;
     (artifact, wall)

@@ -35,8 +35,6 @@ let m_whatifs = Telemetry.counter "colgen.whatifs"
 
 let m_whatif_repivots = Telemetry.counter "colgen.whatif_repivots"
 
-let warm_start = ref true
-
 type pricer = Exact | Heuristic | Auto
 
 (* Master-LP pricing rule, re-exported so callers need no dependency on
@@ -48,9 +46,11 @@ let tableau_options = function
   | Dantzig -> (Wsn_lp.Tableau.Dantzig, false)
   | Devex -> (Wsn_lp.Tableau.Devex, true)
 
-let auto_exact_max = ref 128
+let auto_exact_max = 128
 
-let heuristic_batch = ref 8
+(* Columns a heuristic pricing round may batch before the master
+   resolves. *)
+let heuristic_batch = 8
 
 type result = {
   bandwidth_mbps : float;
@@ -66,9 +66,8 @@ type column = { assignment : Model.assignment; mbps : (int * float) list }
 (* A certified optimum's dual story, kept warm: the master tableau with
    its optimal basis, the variable handles needed to read a perturbed
    solution back, and the duals/reduced costs frozen at convergence.
-   Built only on the warm path when the exact pricer certified the
-   final round — uncertified brackets have no optimal basis to
-   differentiate. *)
+   Built only when the exact pricer certified the final round —
+   uncertified brackets have no optimal basis to differentiate. *)
 type sensitivity = {
   s_warm : Problem.warm;
   s_f_var : Problem.var;
@@ -162,21 +161,8 @@ let read_duals (s : Problem.solution) ~nu =
 let total_shortfall (s : Problem.solution) shortfall =
   Array.fold_left (fun acc v -> acc +. s.Problem.values v) 0.0 shortfall
 
-(* Solve the restricted master from scratch (cold path — the reference
-   strategy, also used by the benchmarks as the warm-start baseline). *)
-let solve_master ~columns ~u ~uindex ~loads ~path =
-  Telemetry.incr m_lp_resolves;
-  let lp, f, lambda, shortfall = build_master ~columns ~u ~uindex ~loads ~path in
-  match Problem.solve lp with
-  | Problem.Infeasible | Problem.Unbounded ->
-    failwith "Column_gen: master must be feasible and bounded"
-  | Problem.Solution s ->
-    let sigma, weights = read_duals s ~nu:(Array.length u) in
-    let shares = List.map (fun v -> s.Problem.values v) lambda in
-    (s.Problem.values f, sigma, weights, shares, total_shortfall s shortfall)
-
-let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~stabilize
-    model ~background ~path =
+let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
+    ?(lp_pricing = Devex) ?(stabilize = true) ?pool model ~background ~path =
   if path = [] then invalid_arg "Column_gen: empty path";
   if List.length (List.sort_uniq compare path) <> List.length path then
     invalid_arg "Column_gen: repeated link in path";
@@ -187,6 +173,8 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
   let uindex = Hashtbl.create (2 * nu) in
   Array.iteri (fun i l -> Hashtbl.replace uindex l i) u;
   let loads = Array.map (fun l -> Flow.load_on background l) u in
+  (* Read a per-universe-index array by link id. *)
+  let by_link a l = a.(Hashtbl.find uindex l) in
   (* A demanded link with no rate at all: unschedulable (or a dead link
      on the new path: zero bandwidth, handled by the LP shortfall). *)
   let seed =
@@ -230,15 +218,19 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
       (match pricer with
        | Exact -> None
        | Heuristic | Auto ->
-         (match Pricing_greedy.shards model ~max_shards universe with
+         (match Pricing_greedy.shards model ~max_shards:shards universe with
           | [] | [ _ ] -> None
           | ss -> Some ss))
+  in
+  let greedy weights =
+    Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model ~weights
+      ~universe
   in
   (* Cover seeding, heuristic tiers only, past the exact-fallback
      threshold: repeatedly run the greedy with already-covered links
      damped to zero until every link sits in some multi-link column.
-     On large masters the initial cold solve is orders of magnitude
-     cheaper per column than a warm resolve (the singleton basis is
+     On large masters the initial solve is orders of magnitude cheaper
+     per column than a warm resolve (the singleton basis is
      near-diagonal; post-pricing resolves stall on degeneracy), so
      front-loading a spatial-reuse cover lets the first solve already
      clear the big-M shortfall instead of spending the iteration
@@ -246,17 +238,14 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
   let cover_seed =
     match pricer with
     | Exact -> []
-    | (Heuristic | Auto) when nu <= !auto_exact_max -> []
+    | (Heuristic | Auto) when nu <= auto_exact_max -> []
     | Heuristic | Auto ->
       let used = Hashtbl.create (2 * nu) in
-      let w l = if Hashtbl.mem used l then 0.0 else 1.0 +. loads.(Hashtbl.find uindex l) in
+      let w l = if Hashtbl.mem used l then 0.0 else 1.0 +. by_link loads l in
       let pooled_keys = Hashtbl.create 64 in
       List.iter (fun a -> Hashtbl.replace pooled_keys (List.sort compare a) ()) pooled_seed;
       let rec cover acc =
-        match
-          Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model
-            ~weights:w ~universe
-        with
+        match greedy w with
         | Some (a, _) ->
           (* A returned set has positive value, hence at least one
              still-unseen link — marking it used guarantees progress
@@ -276,55 +265,46 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
     @ List.map (column_of_assignment tbl) pooled_seed
     @ List.map (column_of_assignment tbl) cover_seed
   in
+  (* Heuristic rounds price a {e batch}: after an improving [first]
+     column, the greedy is re-run under the [search] weights with the
+     links already used this round damped to zero, forcing disjoint
+     supports; every batched column is re-valued under the {e true}
+     weights [w] and kept only while it still improves.  Large masters
+     then take one LP resolve per batch instead of per column — the
+     resolve, not the pricer, dominates wall time past a few hundred
+     universe links.  The exact tier stays strictly one column per
+     round (the reference behaviour). *)
+  let batch_after ~sigma ~w ~search first =
+    Telemetry.incr m_heuristic_columns;
+    let used = Hashtbl.create 16 in
+    let note a = List.iter (fun (l, _) -> Hashtbl.replace used l ()) a in
+    note first;
+    let damped l = if Hashtbl.mem used l then 0.0 else search l in
+    let rec batch acc k =
+      if k = 0 then List.rev acc
+      else
+        match greedy damped with
+        | Some (a, _) when Pricing_greedy.value model ~weights:w a > sigma +. convergence_eps ->
+          Telemetry.incr m_heuristic_columns;
+          note a;
+          batch (a :: acc) (k - 1)
+        | Some _ | None -> List.rev acc
+    in
+    first :: batch [] (heuristic_batch - 1)
+  in
   (* One pricing round under the configured tier.  The heuristic can
      only under-price, so a round is {e certified} (proves no improving
-     column exists) only when the exact pricer had the last word.
-
-     Heuristic rounds price a {e batch}: after the first improving
-     column, the greedy is re-run with the links already used this
-     round damped to zero weight, forcing disjoint supports; every
-     batched column is re-valued under the {e original} duals and kept
-     only while it still improves.  Large masters then take one LP
-     resolve per batch instead of per column — the resolve, not the
-     pricer, dominates wall time past a few hundred universe links.
-     The exact tier stays strictly one column per round (the reference
-     behaviour). *)
+     column exists) only when the exact pricer had the last word. *)
   let price ~sigma weights =
     Telemetry.incr m_pricing_rounds;
-    let w l = weights.(Hashtbl.find uindex l) in
+    let w = by_link weights in
     let improving = function
       | Some (assignment, value) when value > sigma +. convergence_eps -> Some assignment
       | Some _ | None -> None
     in
     let heuristic () =
       Telemetry.incr m_heuristic_rounds;
-      match
-        improving
-          (Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model
-             ~weights:w ~universe)
-      with
-      | None -> None
-      | Some first ->
-        Telemetry.incr m_heuristic_columns;
-        let used = Hashtbl.create 16 in
-        let note a = List.iter (fun (l, _) -> Hashtbl.replace used l ()) a in
-        note first;
-        let damped l = if Hashtbl.mem used l then 0.0 else w l in
-        let value_of a = Pricing_greedy.value model ~weights:w a in
-        let rec batch acc k =
-          if k = 0 then List.rev acc
-          else
-            match
-              Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts)
-                model ~weights:damped ~universe
-            with
-            | Some (a, _) when value_of a > sigma +. convergence_eps ->
-              Telemetry.incr m_heuristic_columns;
-              note a;
-              batch (a :: acc) (k - 1)
-            | Some _ | None -> List.rev acc
-        in
-        Some (first :: batch [] (!heuristic_batch - 1))
+      Option.map (batch_after ~sigma ~w ~search:w) (improving (greedy w))
     in
     let exact () = improving (Pricing.max_weight_independent model ~weights:w ~universe) in
     match pricer with
@@ -339,7 +319,7 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
         match heuristic () with
         | Some cols -> `Improving cols
         | None ->
-          if nu <= !auto_exact_max then begin
+          if nu <= auto_exact_max then begin
             Telemetry.incr m_exact_fallbacks;
             match exact () with Some a -> `Improving [ a ] | None -> `Converged true
           end
@@ -369,33 +349,11 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
   let price_smoothed ~sigma ~weights ~smoothed =
     Telemetry.incr m_pricing_rounds;
     Telemetry.incr m_heuristic_rounds;
-    let w l = weights.(Hashtbl.find uindex l) in
-    let sw l = smoothed.(Hashtbl.find uindex l) in
-    let value_of a = Pricing_greedy.value model ~weights:w a in
-    match
-      Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model
-        ~weights:sw ~universe
-    with
-    | Some (first, _) when value_of first > sigma +. convergence_eps ->
-      Telemetry.incr m_heuristic_columns;
-      let used = Hashtbl.create 16 in
-      let note a = List.iter (fun (l, _) -> Hashtbl.replace used l ()) a in
-      note first;
-      let damped l = if Hashtbl.mem used l then 0.0 else sw l in
-      let rec batch acc k =
-        if k = 0 then List.rev acc
-        else
-          match
-            Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model
-              ~weights:damped ~universe
-          with
-          | Some (a, _) when value_of a > sigma +. convergence_eps ->
-            Telemetry.incr m_heuristic_columns;
-            note a;
-            batch (a :: acc) (k - 1)
-          | Some _ | None -> List.rev acc
-      in
-      Some (first :: batch [] (!heuristic_batch - 1))
+    let w = by_link weights and sw = by_link smoothed in
+    match greedy sw with
+    | Some (first, _) when Pricing_greedy.value model ~weights:w first > sigma +. convergence_eps
+      ->
+      Some (batch_after ~sigma ~w ~search:sw first)
     | Some _ | None -> None
   in
   let price_stabilised ~sigma weights =
@@ -437,7 +395,7 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
         in
         attempt ()
   in
-  let finish ~f ~shares ~shortfall ~pool ~iterations ~certified =
+  let finish ~f ~shares ~shortfall ~columns ~iterations ~certified =
     if shortfall > 1e-6 && certified then None
     else begin
       (* Residual shortfall at an uncertified stop (iteration cap or a
@@ -454,7 +412,7 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
               rates = List.map snd c.assignment;
               share = Float.max share 0.0;
             })
-          pool shares
+          columns shares
       in
       Some
         {
@@ -462,7 +420,7 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
           schedule = Schedule.make slots;
           (* Pool replays are not "generated" — they were priced by an
              earlier query; count them apart. *)
-          columns_generated = List.length pool - n_pooled;
+          columns_generated = List.length columns - n_pooled;
           columns_pooled = n_pooled;
           iterations;
           certified;
@@ -470,58 +428,58 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
     end
   in
   let run () =
-    if warm then begin
-      (* Warm path: keep one master tableau alive, append the single
-         improving column each round and resume the simplex from the
-         previous (still feasible) basis — phase 2 only, no rebuild. *)
-      let lp, f, lambda_seed, shortfall = build_master ~columns:seed ~u ~uindex ~loads ~path in
-      Telemetry.incr m_lp_resolves;
-      let pricing, perturb = tableau_options lp_pricing in
-      match Problem.solve_warm ~pricing ~perturb lp with
-      | (Problem.Infeasible | Problem.Unbounded), _ | _, None ->
-        failwith "Column_gen: master must be feasible and bounded"
-      | Problem.Solution s0, Some w ->
-        (* Pool and handles are kept reversed; reversed once at reads. *)
-        let pool_rev = ref (List.rev seed) in
-        let lambda_rev = ref (List.rev lambda_seed) in
-        (* Freeze the dual story of a certified warm optimum: duals and
-           per-column reduced costs under the final basis, plus the
-           still-live warm handle for basis-reuse predictions. *)
-        let make_sens (s : Problem.solution) = function
-          | Some r when r.certified ->
-            Some
-              {
-                s_warm = w;
-                s_f_var = f;
-                s_shortfall_vars = shortfall;
-                s_u = u;
-                s_uindex = uindex;
-                s_background = Array.of_list background;
-                s_bandwidth = r.bandwidth_mbps;
-                s_sigma = s.Problem.row_duals.(0);
-                s_duals = Array.init nu (fun i -> s.Problem.row_duals.(i + 1));
-                s_set_prices =
-                  List.rev_map2
-                    (fun (c : column) v -> (c.assignment, Problem.warm_reduced_cost w v))
-                    !pool_rev !lambda_rev;
-              }
-          | Some _ | None -> None
-        in
-        let rec iterate k (s : Problem.solution) =
-          if k > max_iterations then begin
-            (* Anytime semantics for the heuristic tiers: the master
-               optimum over the columns priced so far is a feasible —
-               hence valid, merely uncertified — lower bound.  Only the
-               exact pricer treats cap exhaustion as a bug. *)
-            if pricer = Exact then failwith "Column_gen: did not converge";
-            Telemetry.incr m_uncertified;
-            let shares = List.rev_map (fun v -> s.Problem.values v) !lambda_rev in
-            ( finish ~f:(s.Problem.values f) ~shares
-                ~shortfall:(total_shortfall s shortfall)
-                ~pool:(List.rev !pool_rev) ~iterations:max_iterations ~certified:false,
-              None )
-          end
-          else begin
+    (* One master tableau stays alive across pricing rounds: each round
+       appends its improving columns and resumes the simplex from the
+       previous (still feasible) basis — phase 2 only, no rebuild. *)
+    let lp, f, lambda_seed, shortfall = build_master ~columns:seed ~u ~uindex ~loads ~path in
+    Telemetry.incr m_lp_resolves;
+    let pricing, perturb = tableau_options lp_pricing in
+    match Problem.solve_warm ~pricing ~perturb lp with
+    | (Problem.Infeasible | Problem.Unbounded), _ | _, None ->
+      failwith "Column_gen: master must be feasible and bounded"
+    | Problem.Solution s0, Some w ->
+      (* Columns and handles are kept reversed; reversed once at reads. *)
+      let columns_rev = ref (List.rev seed) in
+      let lambda_rev = ref (List.rev lambda_seed) in
+      (* Freeze the dual story of a certified optimum: duals and
+         per-column reduced costs under the final basis, plus the
+         still-live warm handle for basis-reuse predictions. *)
+      let make_sens (s : Problem.solution) = function
+        | Some r when r.certified ->
+          Some
+            {
+              s_warm = w;
+              s_f_var = f;
+              s_shortfall_vars = shortfall;
+              s_u = u;
+              s_uindex = uindex;
+              s_background = Array.of_list background;
+              s_bandwidth = r.bandwidth_mbps;
+              s_sigma = s.Problem.row_duals.(0);
+              s_duals = Array.init nu (fun i -> s.Problem.row_duals.(i + 1));
+              s_set_prices =
+                List.rev_map2
+                  (fun (c : column) v -> (c.assignment, Problem.warm_reduced_cost w v))
+                  !columns_rev !lambda_rev;
+            }
+        | Some _ | None -> None
+      in
+      let stop (s : Problem.solution) ~iterations ~certified =
+        let shares = List.rev_map (fun v -> s.Problem.values v) !lambda_rev in
+        finish ~f:(s.Problem.values f) ~shares ~shortfall:(total_shortfall s shortfall)
+          ~columns:(List.rev !columns_rev) ~iterations ~certified
+      in
+      let rec iterate k (s : Problem.solution) =
+        if k > max_iterations then begin
+          (* Anytime semantics for the heuristic tiers: the master
+             optimum over the columns priced so far is a feasible —
+             hence valid, merely uncertified — lower bound.  Only the
+             exact pricer treats cap exhaustion as a bug. *)
+          if pricer = Exact then failwith "Column_gen: did not converge";
+          Telemetry.incr m_uncertified;
+          (stop s ~iterations:max_iterations ~certified:false, None)
+        end
+        else begin
           Telemetry.incr m_warm_rounds;
           let sigma, weights = read_duals s ~nu in
           match price_stabilised ~sigma weights with
@@ -535,7 +493,7 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
                   :: List.map (fun (l, m) -> (1 + Hashtbl.find uindex l, m)) column.mbps
                 in
                 let v = Problem.add_column w terms in
-                pool_rev := column :: !pool_rev;
+                columns_rev := column :: !columns_rev;
                 lambda_rev := v :: !lambda_rev;
                 Telemetry.incr m_columns)
               assignments;
@@ -545,79 +503,21 @@ let available_impl ~max_iterations ~warm ~pool ~pricer ~max_shards ~lp_pricing ~
                failwith "Column_gen: master must be feasible and bounded"
              | Problem.Solution s' -> iterate (k + 1) s')
           | `Converged certified ->
-            let shares = List.rev_map (fun v -> s.Problem.values v) !lambda_rev in
-            let r =
-              finish ~f:(s.Problem.values f) ~shares
-                ~shortfall:(total_shortfall s shortfall)
-                ~pool:(List.rev !pool_rev) ~iterations:k ~certified
-            in
+            (* Certified convergence: the master optimum is the true
+               Equation-6 optimum.  Uncertified: a valid lower bound. *)
+            let r = stop s ~iterations:k ~certified in
             (r, if certified then make_sens s r else None)
-          end
-        in
-        iterate 1 s0
-    end
-    else begin
-      let pool_rev = ref (List.rev seed) in
-      let rec iterate k =
-        if k > max_iterations && pricer = Exact then
-          failwith "Column_gen: did not converge";
-        let pool = List.rev !pool_rev in
-        let f, sigma, weights, shares, shortfall = solve_master ~columns:pool ~u ~uindex ~loads ~path in
-        if k > max_iterations then begin
-          (* Anytime: report the current master optimum uncertified. *)
-          Telemetry.incr m_uncertified;
-          finish ~f ~shares ~shortfall ~pool ~iterations:max_iterations ~certified:false
         end
-        else
-        match price_stabilised ~sigma weights with
-        | `Improving assignments ->
-          List.iter
-            (fun assignment ->
-              record_in_pool assignment;
-              pool_rev := column_of_assignment tbl assignment :: !pool_rev;
-              Telemetry.incr m_columns)
-            assignments;
-          iterate (k + 1)
-        | `Converged certified ->
-          (* Certified convergence: the master optimum is the true
-             Equation-6 optimum.  Uncertified: a valid lower bound. *)
-          finish ~f ~shares ~shortfall ~pool ~iterations:k ~certified
       in
-      (iterate 1, None)
-    end
+      iterate 1 s0
   in
   Wsn_telemetry.Span.with_span "colgen.available" run
 
-let available ?(max_iterations = 1000) ?warm ?(pricer = Exact) ?(shards = 0)
-    ?(lp_pricing = Devex) ?(stabilize = true) model ~background ~path =
-  let warm = match warm with Some w -> w | None -> !warm_start in
+let available ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ?pool model ~background
+    ~path =
   fst
-    (available_impl ~max_iterations ~warm ~pool:None ~pricer ~max_shards:shards ~lp_pricing
-       ~stabilize model ~background ~path)
-
-let available_pooled ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
-    ?(lp_pricing = Devex) ?(stabilize = true) pool model ~background ~path =
-  fst
-    (available_impl ~max_iterations ~warm:true ~pool:(Some pool) ~pricer ~max_shards:shards
-       ~lp_pricing ~stabilize model ~background ~path)
-
-let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
-    ?(lp_pricing = Devex) ?(stabilize = true) model ~background ~path =
-  available_impl ~max_iterations ~warm:true ~pool:None ~pricer ~max_shards:shards
-    ~lp_pricing ~stabilize model ~background ~path
-
-let available_pooled_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
-    ?(lp_pricing = Devex) ?(stabilize = true) pool model ~background ~path =
-  available_impl ~max_iterations ~warm:true ~pool:(Some pool) ~pricer ~max_shards:shards
-    ~lp_pricing ~stabilize model ~background ~path
-
-let path_capacity ?max_iterations ?warm ?pricer ?shards ?lp_pricing ?stabilize model ~path =
-  match
-    available ?max_iterations ?warm ?pricer ?shards ?lp_pricing ?stabilize model
-      ~background:[] ~path
-  with
-  | Some r -> r
-  | None -> failwith "Column_gen.path_capacity: no background cannot be infeasible"
+    (available_sens ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ?pool model
+       ~background ~path)
 
 (* {1 Congestion pricing and what-if queries}
 

@@ -11,7 +11,15 @@
 
     The master is made always-feasible with penalised shortfall
     variables (big-M); if any shortfall survives at convergence the
-    background demands are genuinely unschedulable. *)
+    background demands are genuinely unschedulable.  It is solved once
+    and kept warm: every later round resumes the simplex from the
+    previous basis.
+
+    Two entry points share one loop and one set of optional arguments:
+    {!available} answers the query, {!available_sens} additionally
+    returns the certified optimum's dual view.  The exact-fallback
+    ceiling {!auto_exact_max} and the heuristic batch size are
+    constants, not settings. *)
 
 type result = {
   bandwidth_mbps : float;
@@ -66,84 +74,30 @@ type lp_pricing =
     until it swallows the true duals.  The {!Exact} tier never sees
     smoothed duals.  Telemetry: [colgen.stab_box_widenings]. *)
 
-val auto_exact_max : int ref
-(** Universe-size ceiling (links) for {!Auto}'s exact fallback
-    (default 128): above it, certification is skipped and the result
-    is a lower bound. *)
+val auto_exact_max : int
+(** Universe-size ceiling (links) for {!Auto}'s exact fallback, fixed
+    at 128: above it, certification is skipped and the result is a
+    lower bound. *)
 
-val heuristic_batch : int ref
-(** Columns a heuristic pricing round may batch before the master
-    resolves (default 8).  After the first improving column the greedy
-    re-runs with this round's used links damped to zero weight,
-    forcing disjoint supports; each batched column is re-valued under
-    the original duals and kept only while improving.  Past a few
-    hundred universe links the LP resolve dominates wall time, so
-    batching cuts it by up to this factor.  The {!Exact} tier is
-    unaffected (always one column per round). *)
+(** {b Batched heuristic pricing.}  A heuristic pricing round may add
+    up to 8 columns before the master resolves.  After the first
+    improving column the greedy re-runs with this round's used links
+    damped to zero weight, forcing disjoint supports; each batched
+    column is re-valued under the original duals and kept only while
+    improving.  Past a few hundred universe links the LP resolve
+    dominates wall time, so batching cuts it by up to that factor.  The
+    {!Exact} tier is unaffected (always one column per round). *)
 
 (** {b Cover seeding.}  Under a heuristic tier on a universe above
     {!auto_exact_max}, the seed additionally contains a greedy {e
     cover}: the pricer is re-run with already-covered links damped to
     zero weight until every link sits in some multi-link column.  On
-    large masters the initial cold solve prices in seed columns orders
-    of magnitude cheaper than post-pricing warm resolves (which stall
-    on master degeneracy), so the first solve starts from a
-    spatial-reuse cover instead of spending the iteration budget
-    re-deriving one.  Small universes are untouched — {!Auto} stays
-    wire-identical to {!Exact} there.  Telemetry:
-    [colgen.cover_columns]. *)
-
-val warm_start : bool ref
-(** Default master strategy (initially [true]).  Warm: one master
-    tableau is kept alive across pricing rounds; each round appends the
-    single improving column ({!Wsn_lp.Problem.add_column}) and resumes
-    the simplex from the previous basis — phase 2 only, no rebuild.
-    Cold: every round rebuilds and re-solves the master from scratch
-    (the reference strategy, and the benchmark baseline).  Both reach
-    the same optimum. *)
-
-val available :
-  ?max_iterations:int ->
-  ?warm:bool ->
-  ?pricer:pricer ->
-  ?shards:int ->
-  ?lp_pricing:lp_pricing ->
-  ?stabilize:bool ->
-  Wsn_conflict.Model.t ->
-  background:Flow.t list ->
-  path:int list ->
-  result option
-(** Column-generation counterpart of {!Path_bandwidth.available}; same
-    contract ([None] = background infeasible).  [None] is itself a
-    certificate, so only the exact pricer (or {!Auto}'s exact
-    fallback) ever returns it; an uncertified stop that has not yet
-    covered the background reports [Some] with a zero lower bound
-    instead.  [warm] overrides
-    {!warm_start} for this call.  [pricer] (default {!Exact}) selects
-    the pricing tier; [shards] (default 0 = one shard per
-    carrier-sense locality component) caps the heuristic's shard
-    count.  [lp_pricing] (default {!Devex}) selects the master's warm
-    simplex pricing rule and [stabilize] (default [true]) the dual
-    boxstep — both change only how fast the master converges, never
-    what it converges to.
-    @raise Invalid_argument on an empty or repeated-link path.
-    @raise Failure under {!Exact} if [max_iterations] (default 1000)
-    master solves do not converge (indicates a pricing bug, not a hard
-    instance).  The heuristic tiers are {e anytime}: at the cap they
-    return the current master optimum as an uncertified lower bound
-    instead of raising, so a caller can trade wall time for gap. *)
-
-val path_capacity :
-  ?max_iterations:int ->
-  ?warm:bool ->
-  ?pricer:pricer ->
-  ?shards:int ->
-  ?lp_pricing:lp_pricing ->
-  ?stabilize:bool ->
-  Wsn_conflict.Model.t ->
-  path:int list ->
-  result
-(** No-background convenience, like {!Path_bandwidth.path_capacity}. *)
+    large masters the initial solve prices in seed columns orders of
+    magnitude cheaper than post-pricing warm resolves (which stall on
+    master degeneracy), so the first solve starts from a spatial-reuse
+    cover instead of spending the iteration budget re-deriving one.
+    Small universes are untouched — {!Auto} stays wire-identical to
+    {!Exact} there.  Telemetry: [colgen.cover_columns]. *)
 
 type pool
 (** Cross-query column pool for a long-lived session: independent-set
@@ -159,24 +113,46 @@ val create_pool : unit -> pool
 val pool_size : pool -> int
 (** Distinct assignments accumulated so far. *)
 
-val available_pooled :
+val available :
   ?max_iterations:int ->
   ?pricer:pricer ->
   ?shards:int ->
   ?lp_pricing:lp_pricing ->
   ?stabilize:bool ->
-  pool ->
+  ?pool:pool ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
   path:int list ->
   result option
-(** As {!available} with [~warm:true], additionally seeding the master
-    from [pool] (columns whose links all lie in this query's universe)
-    and recording every newly priced assignment back into it — under a
-    heuristic tier the warm pool thus seeds the greedy pricer's
-    starting masters across queries.  The pool must only ever be used
-    with one model.  Telemetry: [colgen.pool_hits] counts replayed
-    seeds, [colgen.pool_inserts] newly recorded assignments. *)
+(** Column-generation counterpart of {!Path_bandwidth.available}; same
+    contract ([None] = background infeasible; pass [~background:[]]
+    for the bare path capacity).  [None] is itself a certificate, so
+    only the exact pricer (or {!Auto}'s exact fallback) ever returns
+    it; an uncertified stop that has not yet covered the background
+    reports [Some] with a zero lower bound instead.
+
+    One master tableau is kept alive across pricing rounds: each round
+    appends its improving columns ({!Wsn_lp.Problem.add_column}) and
+    resumes the simplex from the previous basis — phase 2 only, no
+    rebuild.
+
+    [pricer] (default {!Exact}) selects the pricing tier; [shards]
+    (default 0 = one shard per carrier-sense locality component) caps
+    the heuristic's shard count.  [lp_pricing] (default {!Devex})
+    selects the master's simplex pricing rule and [stabilize] (default
+    [true]) the dual boxstep — both change only how fast the master
+    converges, never what it converges to.  [pool] additionally seeds
+    the master from a cross-query {!pool} (columns whose links all lie
+    in this query's universe) and records every newly priced
+    assignment back into it; a pool must only ever be used with one
+    model.  Telemetry: [colgen.pool_hits] counts replayed seeds,
+    [colgen.pool_inserts] newly recorded assignments.
+    @raise Invalid_argument on an empty or repeated-link path.
+    @raise Failure under {!Exact} if [max_iterations] (default 1000)
+    master solves do not converge (indicates a pricing bug, not a hard
+    instance).  The heuristic tiers are {e anytime}: at the cap they
+    return the current master optimum as an uncertified lower bound
+    instead of raising, so a caller can trade wall time for gap. *)
 
 (** {1 Congestion pricing and what-if queries}
 
@@ -201,26 +177,14 @@ val available_sens :
   ?shards:int ->
   ?lp_pricing:lp_pricing ->
   ?stabilize:bool ->
+  ?pool:pool ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
   path:int list ->
   result option * sensitivity option
-(** As {!available} with [~warm:true] (the sensitivity layer needs the
-    live tableau), additionally returning the dual view when the run
-    converged certified and the background is feasible. *)
-
-val available_pooled_sens :
-  ?max_iterations:int ->
-  ?pricer:pricer ->
-  ?shards:int ->
-  ?lp_pricing:lp_pricing ->
-  ?stabilize:bool ->
-  pool ->
-  Wsn_conflict.Model.t ->
-  background:Flow.t list ->
-  path:int list ->
-  result option * sensitivity option
-(** As {!available_pooled}, with the dual view on certified results. *)
+(** As {!available} (same arguments, same result), additionally
+    returning the dual view when the run converged certified and the
+    background is feasible. *)
 
 val sensitivity_bandwidth : sensitivity -> float
 (** The certified available bandwidth the view was built at (equals the

@@ -218,8 +218,8 @@ let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?max_iterations ?lp_pr
               in
               let result, lp_s =
                 time (fun () ->
-                    Column_gen.available_pooled ?max_iterations ~pricer ?lp_pricing
-                      ?stabilize pool model ~background ~path)
+                    Column_gen.available ?max_iterations ~pricer ?lp_pricing
+                      ?stabilize ~pool model ~background ~path)
               in
               Registry.observe sp_lp lp_s;
               let truth, certified, cols, pooled =

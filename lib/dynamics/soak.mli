@@ -8,8 +8,10 @@
     kernels — then:
 
     - routes every live flow and the pinned probe pair;
-    - solves Equation 6 for the probe path by pooled column generation
-      (the pool warm-starts every epoch whose topology did not change);
+    - solves Equation 6 for the probe path by
+      {!Wsn_availbw.Column_gen.available} with a [~pool] kept per
+      topology (the pool warm-starts every epoch whose topology did not
+      change);
     - simulates one MAC measurement window of the background traffic
       and feeds the sensed idleness to the Equation 10–13/15
       estimators, {e online}, exactly as a deployed node would.

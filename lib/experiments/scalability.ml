@@ -30,7 +30,9 @@ let run ?(lengths = [ 8; 12; 16; 20 ]) ?(max_sets = 500_000) () =
               Some r
             with Failure _ -> None)
       in
-      let cg, cg_seconds = time (fun () -> Column_gen.path_capacity model ~path) in
+      let cg, cg_seconds =
+        time (fun () -> Option.get (Column_gen.available model ~background:[] ~path))
+      in
       (match enum with
        | Some e ->
          if Float.abs (e.Path_bandwidth.bandwidth_mbps -. cg.Column_gen.bandwidth_mbps) > 1e-4

@@ -10,7 +10,7 @@
     hard-conflict clique upper bound ({!Wsn_availbw.Bounds.clique_upper}).
     Under [Auto] on a small universe the bracket's lower side is the
     certified Eq. 6 optimum; past {!Wsn_availbw.Column_gen.auto_exact_max}
-    links the gap measures what the heuristic tier trades for scale. *)
+    (128) links the gap measures what the heuristic tier trades for scale. *)
 
 type row = {
   n_nodes : int;

@@ -89,8 +89,7 @@ let probe inst factor =
     if w.Column_gen.w_repivoted then incr repivoted;
     let fresh, tr =
       time (fun () ->
-          Column_gen.available ~warm:false ~pricer:Column_gen.Exact inst.i_model
-            ~background:(scaled inst k factor) ~path:inst.i_path)
+          Column_gen.available ~pricer:Column_gen.Exact inst.i_model ~background:(scaled inst k factor) ~path:inst.i_path)
     in
     resolve_s := !resolve_s +. tr;
     let exact_mbps, exact_feasible =

@@ -145,10 +145,9 @@ let availability_of t ~bg ~path =
       Telemetry.incr m_memo_hits;
       Some v
     | None -> (
-      let pool = Option.get t.pool in
       match
-        Column_gen.available_pooled ~pricer:t.pricer ~shards:t.shards
-          ~lp_pricing:t.lp_pricing ~stabilize:t.stabilize pool t.model ~background:bg ~path
+        Column_gen.available ~pricer:t.pricer ~shards:t.shards ~lp_pricing:t.lp_pricing
+          ~stabilize:t.stabilize ?pool:t.pool t.model ~background:bg ~path
       with
       | Some r ->
         Hashtbl.replace t.answers key r.Column_gen.bandwidth_mbps;
@@ -171,10 +170,9 @@ let sens_for t ~bg ~path =
     match t.sens with
     | Some (k, s) when String.equal k key -> Some s
     | _ ->
-      let pool = Option.get t.pool in
       let r, s =
-        Column_gen.available_pooled_sens ~pricer:t.pricer ~shards:t.shards
-          ~lp_pricing:t.lp_pricing ~stabilize:t.stabilize pool t.model ~background:bg ~path
+        Column_gen.available_sens ~pricer:t.pricer ~shards:t.shards ~lp_pricing:t.lp_pricing
+          ~stabilize:t.stabilize ?pool:t.pool t.model ~background:bg ~path
       in
       (match r with
        | Some res -> Hashtbl.replace t.answers key res.Column_gen.bandwidth_mbps

@@ -74,8 +74,14 @@ let qcheck_pricing_matches_enumeration =
 
 (* --- column generation ----------------------------------------------- *)
 
+(* Bare path capacity: column generation with no background. *)
+let path_capacity ?pricer model ~path =
+  match Column_gen.available ?pricer model ~background:[] ~path with
+  | Some r -> r
+  | None -> Alcotest.fail "no background cannot be infeasible"
+
 let test_cg_chain_16_2 () =
-  let r = Column_gen.path_capacity S2.model ~path:S2.path in
+  let r = path_capacity S2.model ~path:S2.path in
   check float_tol "16.2" 16.2 r.Column_gen.bandwidth_mbps;
   check Alcotest.bool "witness feasible" true (Schedule.is_feasible S2.model r.Column_gen.schedule);
   check Alcotest.bool "few columns" true (r.Column_gen.columns_generated <= 8)
@@ -101,8 +107,10 @@ let test_cg_physical_chain () =
   let model = Model.physical topo in
   let path = Builders.chain_hop_links topo in
   let enum = (Path_bandwidth.path_capacity model ~path).Path_bandwidth.bandwidth_mbps in
-  let cg = Column_gen.path_capacity model ~path in
-  check float_tol "physical chain agrees" enum cg.Column_gen.bandwidth_mbps
+  let cg = path_capacity model ~path in
+  check float_tol "physical chain agrees" enum cg.Column_gen.bandwidth_mbps;
+  check Alcotest.bool "shares sum to at most 1" true
+    (Schedule.total_share cg.Column_gen.schedule <= 1.0 +. 1e-9)
 
 let qcheck_cg_equals_enumeration =
   QCheck.Test.make ~name:"column generation = enumeration on random models" ~count:40
@@ -149,52 +157,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cg_equals_enumeration;
     Alcotest.test_case "cg validation" `Quick test_cg_validation;
     Alcotest.test_case "E14 smoke" `Slow test_e14_smoke;
-  ]
-
-(* --- warm-started master vs. cold rebuilds --------------------------- *)
-
-(* The warm master (one tableau kept across pricing rounds, single
-   column appended, phase-2 resolve from the previous basis) must reach
-   the same Equation-6 optimum as rebuilding the master from scratch
-   every round.  Degenerate ties may pick different optimal bases, so
-   the optimum is compared with a tolerance, not the column counts. *)
-let qcheck_warm_equals_cold =
-  QCheck.Test.make ~name:"warm-started colgen = cold colgen" ~count:40
-    QCheck.(pair (int_bound 100_000) (float_range 0.0 12.0))
-    (fun (seed, load) ->
-      let rng = Wsn_prng.Pcg32.create (Int64.of_int seed) in
-      let model = Hyp.random_model rng ~n_links:4 in
-      let path = [ 0; 1; 2; 3 ] in
-      let background = if load > 0.5 then [ Flow.make ~path:[ 2 ] ~demand_mbps:load ] else [] in
-      let warm = Column_gen.available ~warm:true model ~background ~path in
-      let cold = Column_gen.available ~warm:false model ~background ~path in
-      match (warm, cold) with
-      | Some w, Some c ->
-        Float.abs (w.Column_gen.bandwidth_mbps -. c.Column_gen.bandwidth_mbps) < 1e-6
-      | None, None -> true
-      | _ -> false)
-
-let test_warm_physical_chain () =
-  (* Same physical 5-node chain as the cold test: identical bandwidth
-     and a valid schedule from the warm path. *)
-  let topo = Builders.chain ~spacing_m:120.0 5 in
-  let model = Model.physical topo in
-  let path =
-    List.init 4 (fun i ->
-        match Wsn_graph.Digraph.find_edge (Wsn_net.Topology.graph topo) ~src:i ~dst:(i + 1) with
-        | Some e -> e.Wsn_graph.Digraph.id
-        | None -> Alcotest.fail "chain edge missing")
-  in
-  let warm = Column_gen.path_capacity ~warm:true model ~path in
-  let cold = Column_gen.path_capacity ~warm:false model ~path in
-  check float_tol "same optimum" cold.Column_gen.bandwidth_mbps warm.Column_gen.bandwidth_mbps;
-  check Alcotest.bool "shares sum to at most 1" true
-    (Schedule.total_share warm.Column_gen.schedule <= 1.0 +. 1e-9)
-
-let warm_suite =
-  [
-    QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
-    Alcotest.test_case "warm physical chain" `Slow test_warm_physical_chain;
   ]
 
 (* --- heuristic pricing tier ------------------------------------------ *)
@@ -323,7 +285,7 @@ let test_heuristic_tier_uncertified_lower_bound () =
   (* Pure heuristic tier on the chain: a valid lower bound on 16.2,
      flagged uncertified or — if the greedy happens to stall at the
      optimum — still never above it. *)
-  let r = Column_gen.path_capacity ~pricer:Column_gen.Heuristic S2.model ~path:S2.path in
+  let r = path_capacity ~pricer:Column_gen.Heuristic S2.model ~path:S2.path in
   check Alcotest.bool "lower bound" true (r.Column_gen.bandwidth_mbps <= 16.2 +. 1e-6);
   check Alcotest.bool "positive" true (r.Column_gen.bandwidth_mbps > 0.0);
   check Alcotest.bool "uncertified" false r.Column_gen.certified;
@@ -452,8 +414,7 @@ let qcheck_whatif_matches_resolve =
                    background
                in
                match
-                 Column_gen.available ~warm:false ~pricer:Column_gen.Exact model
-                   ~background:scaled ~path
+                 Column_gen.available ~pricer:Column_gen.Exact model ~background:scaled ~path
                with
                | Some r ->
                  w.Column_gen.w_feasible
@@ -488,10 +449,48 @@ let test_sensitivity_reads_are_pure () =
     | _ -> Alcotest.fail "instance should be feasible and certified")
   | _ -> Alcotest.fail "instance should route several flows"
 
+(* The pool and the dual view only change how an answer is reached.  A
+   sequence of queries over one instance — every routed flow probed in
+   turn against the others, at two demand levels and then the first
+   level again, so later queries replay earlier columns — shares one
+   pool; each pooled answer must quantise to the pool-less one, and
+   [available_sens] must return exactly [available]'s figure. *)
+let qcheck_pool_and_sens_keep_answers =
+  QCheck.Test.make ~name:"pool and dual view never change the answer" ~count:25
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let model, paths = random_physical_instance seed in
+      match paths with
+      | [] | [ _ ] -> QCheck.assume_fail ()
+      | _ ->
+        let pricer = if seed mod 2 = 0 then Column_gen.Exact else Column_gen.Auto in
+        let pool = Column_gen.create_pool () in
+        let mbps = Option.map (fun r -> Proto.mbps r.Column_gen.bandwidth_mbps) in
+        let query demand k =
+          let path = List.nth paths k in
+          let background =
+            List.filteri (fun i _ -> i <> k) paths
+            |> List.map (fun p -> Flow.make ~path:p ~demand_mbps:demand)
+          in
+          let plain = Column_gen.available ~pricer model ~background ~path in
+          let pooled = Column_gen.available ~pricer ~pool model ~background ~path in
+          let sens, _ = Column_gen.available_sens ~pricer model ~background ~path in
+          mbps pooled = mbps plain
+          &&
+          match (sens, plain) with
+          | Some s, Some p -> Float.equal s.Column_gen.bandwidth_mbps p.Column_gen.bandwidth_mbps
+          | None, None -> true
+          | _ -> false
+        in
+        List.for_all
+          (fun demand -> List.for_all (query demand) (List.init (List.length paths) Fun.id))
+          [ 0.3; 0.6; 0.3 ])
+
 let sensitivity_suite =
   [
+    QCheck_alcotest.to_alcotest qcheck_pool_and_sens_keep_answers;
     QCheck_alcotest.to_alcotest qcheck_whatif_matches_resolve;
     Alcotest.test_case "sensitivity reads are pure" `Quick test_sensitivity_reads_are_pure;
   ]
 
-let suite = suite @ warm_suite @ heuristic_suite @ sensitivity_suite
+let suite = suite @ heuristic_suite @ sensitivity_suite

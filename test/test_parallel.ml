@@ -140,7 +140,10 @@ let qcheck_colgen_deterministic =
         at_domains d (fun () ->
             let topo = Builders.chain ~spacing_m:55.0 n in
             let model = Model.physical topo in
-            let r = Column_gen.path_capacity ~warm:true model ~path:(Builders.chain_hop_links topo) in
+            let r =
+              Option.get
+                (Column_gen.available model ~background:[] ~path:(Builders.chain_hop_links topo))
+            in
             ( r.Column_gen.bandwidth_mbps,
               r.Column_gen.columns_generated,
               r.Column_gen.iterations,
