@@ -168,6 +168,18 @@ let best_rate k l ~interference =
   in
   scan 0
 
+(* A pair that cannot transmit together at any rates: the links share an
+   endpoint, or one of them supports no rate under the other's
+   interference alone.  For a pair the whole-set sum is that single
+   term ([0.0 +. x = x]), so this is the verdict [compute_entry] reaches
+   on the pair without touching the memo or allocating. *)
+let hard_conflict k i j =
+  if i < 0 || i >= k.n_links || j < 0 || j >= k.n_links then
+    invalid_arg "Kernel.hard_conflict: link out of range";
+  Bitset.mem k.hd.(i) j
+  || best_rate k j ~interference:(interf_row k i).(j) = None
+  || best_rate k i ~interference:(interf_row k j).(i) = None
+
 (* --- whole-set queries (memoised) ---------------------------------- *)
 
 (* Maximum rate vector of an ascending duplicate-free member array, or

@@ -50,6 +50,16 @@ val rates : t -> Wsn_radio.Rate.table
 val alone_rates : t -> int -> Wsn_radio.Rate.t list
 (** Rates the link supports alone, fastest first (Equation 1). *)
 
+val hard_conflict : t -> int -> int -> bool
+(** [hard_conflict k i j] is whether the two links can never transmit
+    together, at any rates: they share an endpoint (half-duplex), or
+    one of them supports no rate under the other's interference.
+    Interference power is rate-independent and slower rates need less
+    SNR, so this is exactly {!Model.interferes} at the two links'
+    slowest alone rates — without {!Model.feasible}'s validation, memo
+    traffic or allocation.  Symmetric; a link hard-conflicts with itself.
+    @raise Invalid_argument when a link is out of range. *)
+
 val max_vector : t -> int list -> Wsn_radio.Rate.t array option
 (** Maximum supported rate vector of a concurrent set, indexed like the
     argument; [None] when the set is not independent (half-duplex

@@ -58,6 +58,17 @@ let feasible t assignment =
 let interferes t ((l1, _) as a) ((l2, _) as b) =
   if l1 = l2 then true else not (feasible t [ a; b ])
 
+(* A kernel answers from the two slowest alone rates, because SINR
+   feasibility is monotone in rate.  A declared predicate need not be,
+   so without a kernel every pair of alone rates is tested. *)
+let hard_conflict t i j =
+  match t.kernel with
+  | Some k -> Kernel.hard_conflict k i j
+  | None ->
+    List.for_all
+      (fun ri -> List.for_all (fun rj -> interferes t (i, ri) (j, rj)) (alone_rates t j))
+      (alone_rates t i)
+
 (* Backtracking extension of a partial assignment [acc] (reversed) over
    the remaining links; relies on anti-monotonicity of feasibility for
    pruning.  Returns a completed assignment in traversal order. *)

@@ -85,6 +85,15 @@ val interferes : t -> int * Wsn_radio.Rate.t -> int * Wsn_radio.Rate.t -> bool
     concurrently (the paper's pairwise interference, §3.1).  Couples on
     the same link trivially interfere. *)
 
+val hard_conflict : t -> int -> int -> bool
+(** [hard_conflict t i j] is whether links [i] and [j] interfere at
+    {e every} pair of their alone rates, so that at most one of them
+    transmits at any instant (a {e hard} conflict, the edges of the
+    conflict cliques of §3.1).  Kernel-backed models answer with
+    {!Kernel.hard_conflict} in O(1); other models test each rate pair
+    with {!interferes}.  Vacuously true when either link is dead.
+    @raise Invalid_argument on out-of-range ids. *)
+
 val max_vector : t -> int list -> Wsn_radio.Rate.t array option
 (** [max_vector t set] is the per-link maximum supported rate vector of
     a concurrent set when it is unique ([physical] models), indexed like

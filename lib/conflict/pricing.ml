@@ -1,5 +1,8 @@
 module Rate = Wsn_radio.Rate
 module Pool = Wsn_parallel.Pool
+module Telemetry = Wsn_telemetry.Registry
+
+let m_nodes = Telemetry.counter "pricing.nodes"
 
 (* The branch-and-bound forest splits into one subtree per root
    candidate — the first candidate (in decreasing best-case-value
@@ -17,7 +20,25 @@ module Pool = Wsn_parallel.Pool
      branch is cut only when its optimistic potential is strictly
      below the bound — such a branch cannot contain any occurrence of
      the maximum, so pruning (however the domains race) never changes
-     which occurrence wins. *)
+     which occurrence wins.
+
+   The potential comes from a clique cover of the candidates'
+   hard-conflict graph ({!Model.hard_conflict}): at most one member of
+   a cover clique joins any assignment, and none that hard-conflicts
+   with a chosen member, so a clique adds at most its first unblocked
+   member's best-case value.  The sum is computed in float; [slack]
+   keeps it above every completion's float value, so rounding never
+   cuts a branch that exact arithmetic keeps. *)
+
+let slack = 1.0 +. 1e-12
+
+(* Position sets as word rows: [words] ints of [bits] bits each,
+   starting at [base] in a flat array. *)
+let bits = 63
+
+let mem row base p = row.(base + (p / bits)) land (1 lsl (p mod bits)) <> 0
+
+let add row base p = row.(base + (p / bits)) <- row.(base + (p / bits)) lor (1 lsl (p mod bits))
 
 let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
   let tbl = Model.rates model in
@@ -38,13 +59,53 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
   let n = Array.length candidates in
   if n = 0 then None
   else begin
-    (* suffix_potential.(i) = best additional value collectable from
-       candidates i.. if they were all independent at top rate. *)
-    let suffix_potential = Array.make (n + 1) 0.0 in
-    for i = n - 1 downto 0 do
-      let _, _, potential = candidates.(i) in
-      suffix_potential.(i) <- suffix_potential.(i + 1) +. potential
+    let best_case = Array.map (fun (_, _, v) -> v) candidates in
+    (* Row [p] (at [p * words]): the candidate positions
+       hard-conflicting with position [p], itself included. *)
+    let words = (n + bits - 1) / bits in
+    let rows = Array.make (n * words) 0 in
+    for p = 0 to n - 1 do
+      let lp, _, _ = candidates.(p) in
+      add rows (p * words) p;
+      for q = p + 1 to n - 1 do
+        let lq, _, _ = candidates.(q) in
+        if Model.hard_conflict model lp lq then begin
+          add rows (p * words) q;
+          add rows (q * words) p
+        end
+      done
     done;
+    (* Greedy clique cover in candidate order: each uncovered position
+       opens a clique and admits every later uncovered position that
+       hard-conflicts with all its members.  [cover.(c)] lists clique
+       [c]'s positions ascending, i.e. by decreasing best-case value. *)
+    let covered = Array.make n false in
+    let cliques = ref [] in
+    for p = 0 to n - 1 do
+      if not covered.(p) then begin
+        let members = ref [ p ] in
+        for q = p + 1 to n - 1 do
+          if (not covered.(q)) && List.for_all (mem rows (q * words)) !members then begin
+            covered.(q) <- true;
+            members := q :: !members
+          end
+        done;
+        cliques := Array.of_list (List.rev !members) :: !cliques
+      end
+    done;
+    let cover = Array.of_list (List.rev !cliques) in
+    (* first.(c).(i): index in [cover.(c)] of its first position >= i. *)
+    let first =
+      Array.map
+        (fun members ->
+          let f = Array.make (n + 1) (Array.length members) in
+          for i = n - 1 downto 0 do
+            f.(i) <- f.(i + 1);
+            if f.(i) > 0 && members.(f.(i) - 1) = i then f.(i) <- f.(i) - 1
+          done;
+          f)
+        cover
+    in
     (* Monotone incumbent value, shared across subtrees for pruning. *)
     let bound = Atomic.make 0.0 in
     let rec publish v =
@@ -58,6 +119,30 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
     let subtree ~try_rates root =
       let best_value = ref 0.0 in
       let best_assignment = ref [] in
+      let nodes = ref 0 in
+      (* Row [d] of [blocked]: the positions hard-conflicting with one
+         of the [d] members chosen on the current path. *)
+      let blocked = Array.make ((n + 1) * words) 0 in
+      (* Best additional value collectable from positions [i..] at
+         depth [d]: the first unblocked member of each cover clique. *)
+      let potential d i =
+        let total = ref 0.0 in
+        for c = 0 to Array.length cover - 1 do
+          let members = cover.(c) in
+          let k = ref first.(c).(i) in
+          while !k < Array.length members && mem blocked (d * words) members.(!k) do
+            incr k
+          done;
+          if !k < Array.length members then total := !total +. best_case.(members.(!k))
+        done;
+        !total
+      in
+      (* Row [d + 1] := row [d] ∪ the conflicts of position [i]. *)
+      let choose d i =
+        for x = 0 to words - 1 do
+          blocked.(((d + 1) * words) + x) <- blocked.((d * words) + x) lor rows.((i * words) + x)
+        done
+      in
       let record assignment value =
         if value > !best_value then begin
           best_value := value;
@@ -65,25 +150,36 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
           publish value
         end
       in
-      let rec branch i assignment value =
+      let rec branch d i assignment value =
+        incr nodes;
         record assignment value;
-        if
-          i < n
-          && value +. suffix_potential.(i) > !best_value
-          && value +. suffix_potential.(i) >= Atomic.get bound
-        then begin
-          let l, w, _ = candidates.(i) in
-          try_rates i (fun r -> branch (i + 1) ((l, r) :: assignment) (value +. (w *. mbps r)));
-          (* Or skip it. *)
-          branch (i + 1) assignment value
+        (* A blocked candidate would fail [try_rates] (hard conflicts
+           are anti-monotone): step over it without trying. *)
+        let i = ref i in
+        while !i < n && mem blocked (d * words) !i do
+          incr i
+        done;
+        let i = !i in
+        if i < n then begin
+          let optimistic = (value +. potential d i) *. slack in
+          if optimistic > !best_value && optimistic >= Atomic.get bound then begin
+            let l, w, _ = candidates.(i) in
+            choose d i;
+            try_rates i (fun r ->
+                branch (d + 1) (i + 1) ((l, r) :: assignment) (value +. (w *. mbps r)));
+            (* Or skip it. *)
+            branch d (i + 1) assignment value
+          end
         end
       in
       (* A whole subtree strictly below the incumbent cannot contain
          any occurrence of the maximum. *)
-      if suffix_potential.(root) >= Atomic.get bound then begin
+      if potential 0 root *. slack >= Atomic.get bound then begin
         let l, w, _ = candidates.(root) in
-        try_rates root (fun r -> branch (root + 1) [ (l, r) ] (w *. mbps r))
+        choose 0 root;
+        try_rates root (fun r -> branch 1 (root + 1) [ (l, r) ] (w *. mbps r))
       end;
+      Telemetry.add m_nodes !nodes;
       (!best_value, !best_assignment)
     in
     let roots = Array.init n (fun i -> i) in

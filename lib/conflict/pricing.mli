@@ -4,12 +4,17 @@
     Given non-negative link weights [w], find the independent set and
     rate vector maximising [Σ_l w_l · mbps(r_l)].  Solved by branch and
     bound: links are considered in decreasing order of their best-case
-    contribution, partial assignments are extended rate by rate, and a
-    branch is cut when even collecting every remaining link at its best
-    alone rate cannot beat the incumbent.  Exponential in the worst
-    case, but the weights of an LP master are sparse and interference
-    keeps feasible sets small, so in practice this runs far ahead of
-    full enumeration. *)
+    contribution and partial assignments are extended rate by rate.
+    The bound comes from the hard-conflict graph of the candidates
+    ({!Model.hard_conflict}: pairs that clash at every rate pair),
+    built per call and covered greedily by cliques.  At most one
+    member of a clique transmits, and none that hard-conflicts with a
+    chosen link, so a branch is cut when even the best unblocked
+    member of every clique cannot beat the incumbent; blocked links are
+    skipped without a feasibility test.  Exponential in the worst case,
+    but the weights of an LP master are sparse and interference keeps
+    feasible sets small, so in practice this runs far ahead of full
+    enumeration.  Counts its search nodes in [pricing.nodes]. *)
 
 val max_weight_independent :
   ?eps:float ->

@@ -18,11 +18,10 @@ let fixed_rate_clique_bound model ~path ~rate_of =
 
 (* A valid upper bound at any scale (unlike Eq. 7, which rate
    adaptation can beat, and Eq. 9, which enumerates Z^L rate vectors):
-   restrict attention to links that conflict pairwise at their {e most
-   robust} (slowest supported) rates.  Interference power is
-   rate-independent and faster rates only raise the SNR requirement,
-   so such pairs conflict at {e every} rate pair — at any instant at
-   most one link of such a clique transmits, making airtimes disjoint.
+   restrict attention to links that conflict pairwise at {e every}
+   rate pair ({!Model.hard_conflict}; for SINR models, at their most
+   robust, slowest supported rates) — at any instant at most one link
+   of such a clique transmits, making airtimes disjoint.
    A link carrying traffic x transmits at most at its best alone rate,
    so it needs airtime >= x / best, and every hard-conflict clique C
    yields sum_{l in C} (load_l + f·[l on path]) / best_l <= 1. *)
@@ -36,19 +35,9 @@ let clique_upper model ~background ~path =
     let u = Array.of_list (List.filter (fun l -> alone l <> []) universe) in
     let n = Array.length u in
     let best = Array.map (fun l -> Rate.mbps tbl (List.hd (alone l))) u in
-    let slowest = Array.map (fun l -> List.hd (List.rev (alone l))) u in
     let load = Array.map (fun l -> Flow.load_on background l) u in
     let onpath = Array.map (fun l -> List.mem l path) u in
-    let memo = Hashtbl.create (4 * n) in
-    let conflict i j =
-      let key = if i < j then (i, j) else (j, i) in
-      match Hashtbl.find_opt memo key with
-      | Some c -> c
-      | None ->
-        let c = Model.interferes model (u.(i), slowest.(i)) (u.(j), slowest.(j)) in
-        Hashtbl.add memo key c;
-        c
-    in
+    let conflict i j = Model.hard_conflict model u.(i) u.(j) in
     let bound = ref infinity in
     Array.iteri
       (fun p _ ->

@@ -19,16 +19,16 @@ val fixed_rate_clique_bound :
 val clique_upper :
   Wsn_conflict.Model.t -> background:Flow.t list -> path:int list -> float
 (** A cheap upper bound valid under rate adaptation, at any scale.
-    Links that pairwise conflict at their slowest supported rates
-    conflict at {e every} rate pair (interference power is
-    rate-independent; faster rates only need more SNR), so the members
-    of such a {e hard-conflict} clique have disjoint airtimes and each
-    clique [C] bounds [Σ_{l∈C} (load_l + f·[l∈path]) / best_l ≤ 1].
-    Greedy maximal cliques are grown around every path link; the bound
-    is the minimum over them (floored at 0 — an over-committed
-    background proves nothing is admittable).  O(|universe|²) pairwise
-    checks — the upper bracket for the heuristic pricing tier, where
-    Eq. 9's [Z^L] enumeration is unreachable.
+    Links that {!Wsn_conflict.Model.hard_conflict} conflict at {e
+    every} rate pair, so the members of such a {e hard-conflict}
+    clique have disjoint airtimes and each clique [C] bounds
+    [Σ_{l∈C} (load_l + f·[l∈path]) / best_l ≤ 1].  Greedy maximal
+    cliques are grown around every path link; the bound is the minimum
+    over them (floored at 0 — an over-committed background proves
+    nothing is admittable).  O(|path| · |universe|²) pairwise checks,
+    each O(1) on kernel-backed models — the upper bracket for the
+    heuristic pricing tier, where Eq. 9's [Z^L] enumeration is
+    unreachable.
     @raise Invalid_argument on an empty path. *)
 
 val upper_eq9 :

@@ -47,7 +47,8 @@ let parse_request line =
           let* source = field_int json "source" in
           let* target = field_int json "target" in
           let* demand_mbps = field_float json "demand_mbps" in
-          if demand_mbps <= 0.0 then Error "field \"demand_mbps\" must be positive"
+          if not (Float.is_finite demand_mbps) || demand_mbps <= 0.0 then
+            Error "field \"demand_mbps\" must be positive"
           else Ok (Admit { source; target; demand_mbps })
         | Some "query" ->
           let* source = field_int json "source" in
@@ -57,7 +58,7 @@ let parse_request line =
             | None -> Ok None
             | Some v -> (
               match Json.to_float v with
-              | Some f when f > 0.0 -> Ok (Some f)
+              | Some f when Float.is_finite f && f > 0.0 -> Ok (Some f)
               | Some _ -> Error "field \"demand_mbps\" must be positive"
               | None -> Error "field \"demand_mbps\" must be a number")
           in

@@ -494,3 +494,168 @@ let sensitivity_suite =
   ]
 
 let suite = suite @ heuristic_suite @ sensitivity_suite
+
+(* --- exact pricing: clique-cover bound and hard-conflict pre-filter --- *)
+
+module Bounds = Wsn_availbw.Bounds
+
+(* The pricer agrees with an exhaustive oracle: the same optimum up to
+   float summation order, and an assignment that is feasible and worth
+   exactly the value returned (summed in assignment order, as the
+   search sums it). *)
+let pricing_matches model ~weights ~universe ~brute =
+  match Pricing.max_weight_independent model ~weights ~universe with
+  | None -> brute = 0.0
+  | Some (assignment, value) ->
+    let tbl = Model.rates model in
+    let revalued =
+      List.fold_left (fun acc (l, r) -> acc +. (weights l *. Rate.mbps tbl r)) 0.0 assignment
+    in
+    Model.feasible model assignment
+    && Float.equal revalued value
+    && Float.abs (value -. brute) <= 1e-12 *. Float.max 1.0 brute
+
+(* Weights as an LP master produces them: sparse, otherwise spread out. *)
+let random_weights rng n =
+  let draw _ =
+    if Wsn_prng.Pcg32.next_below rng 4 = 0 then 0.0 else Wsn_prng.Pcg32.uniform rng 0.1 2.0
+  in
+  let w = Array.init n draw in
+  fun l -> w.(l)
+
+let column_value model ~weights (c : Independent.column) =
+  List.fold_left2
+    (fun acc l r -> acc +. (weights l *. Rate.mbps (Model.rates model) r))
+    0.0 c.Independent.links c.Independent.rates
+
+let qcheck_exact_pricing_physical =
+  QCheck.Test.make ~name:"exact pricer = enumeration on random physical instances" ~count:40
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let model, paths = random_physical_instance seed in
+      let universe = List.sort_uniq compare (List.concat paths) in
+      if universe = [] then QCheck.assume_fail ()
+      else begin
+        let weights =
+          random_weights (Wsn_prng.Pcg32.create (Int64.of_int seed)) (Model.n_links model)
+        in
+        let brute =
+          List.fold_left
+            (fun acc c -> Float.max acc (column_value model ~weights c))
+            0.0
+            (Independent.columns ~filter_dominated:false model ~universe)
+        in
+        pricing_matches model ~weights ~universe ~brute
+      end)
+
+(* A declared model whose pairwise interference is drawn independently
+   per rate pair (probability 3/4, so about a third of the pairs are
+   hard conflicts), so it need not be monotone in rate: a pair may
+   clash at 36/36 and not at 54/54.  Some links support only 36, some
+   none. *)
+let random_declared rng ~n_links =
+  let coin () = Wsn_prng.Pcg32.next_below rng 4 <> 0 in
+  let clash = Hashtbl.create 64 in
+  for i = 0 to n_links - 1 do
+    for j = i + 1 to n_links - 1 do
+      List.iter
+        (fun ri ->
+          List.iter
+            (fun rj -> Hashtbl.replace clash (i, ri, j, rj) (coin ()))
+            [ S2.rate_54; S2.rate_36 ])
+        [ S2.rate_54; S2.rate_36 ]
+    done
+  done;
+  let alone =
+    Array.init n_links (fun _ ->
+        match Wsn_prng.Pcg32.next_below rng 6 with
+        | 0 -> []
+        | 1 -> [ S2.rate_36 ]
+        | _ -> [ S2.rate_54; S2.rate_36 ])
+  in
+  Model.declared ~n_links ~rates:Rate.chain_36_54
+    ~alone_rates:(fun l -> alone.(l))
+    ~interferes:(fun (l1, r1) (l2, r2) ->
+      l1 = l2
+      || Hashtbl.find clash (if l1 < l2 then (l1, r1, l2, r2) else (l2, r2, l1, r1)))
+
+(* Every assignment: each link absent or at one of its alone rates. *)
+let brute_force_assignments model ~weights ~universe =
+  let tbl = Model.rates model in
+  let rec go acc value = function
+    | [] -> if acc = [] || Model.feasible model acc then value else 0.0
+    | l :: rest ->
+      List.fold_left
+        (fun best r ->
+          Float.max best (go ((l, r) :: acc) (value +. (weights l *. Rate.mbps tbl r)) rest))
+        (go acc value rest) (Model.alone_rates model l)
+  in
+  go [] 0.0 universe
+
+let qcheck_exact_pricing_declared =
+  QCheck.Test.make ~name:"exact pricer = enumeration on non-monotone declared models" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Wsn_prng.Pcg32.create (Int64.of_int seed) in
+      let n_links = 7 in
+      let model = random_declared rng ~n_links in
+      let weights = random_weights rng n_links in
+      let universe = List.init n_links Fun.id in
+      pricing_matches model ~weights ~universe
+        ~brute:(brute_force_assignments model ~weights ~universe))
+
+let test_exact_pricing_multiword () =
+  (* 70 candidates, more than one 63-bit word of blocked positions: ten
+     hard-conflict groups (l mod 10), plus pairs of groups five apart
+     that clash only when both run at 36 — not a hard conflict, so the
+     pricer must not block them.  The optimum takes each group's
+     heaviest link (60..69) at 54. *)
+  let n_links = 70 in
+  let group l = l mod 10 in
+  let model =
+    Model.declared ~n_links ~rates:Rate.chain_36_54
+      ~alone_rates:(fun _ -> [ S2.rate_54; S2.rate_36 ])
+      ~interferes:(fun (l1, r1) (l2, r2) ->
+        group l1 = group l2
+        || (abs (group l1 - group l2) = 5 && r1 = S2.rate_36 && r2 = S2.rate_36))
+  in
+  let weights l = 1.0 +. (float_of_int l /. 100.0) in
+  let expect =
+    List.fold_left (fun acc l -> acc +. (54.0 *. weights l)) 0.0 (List.init 10 (( + ) 60))
+  in
+  match Pricing.max_weight_independent model ~weights ~universe:(List.init n_links Fun.id) with
+  | None -> Alcotest.fail "positive weights must price something"
+  | Some (assignment, value) ->
+    check (Alcotest.float (1e-12 *. expect)) "optimum" expect value;
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+      "heaviest link of every group, at 54"
+      (List.init 10 (fun g -> (60 + g, S2.rate_54)))
+      (List.sort compare assignment);
+    check Alcotest.bool "feasible" true (Model.feasible model assignment)
+
+let qcheck_clique_upper_above_optimum =
+  QCheck.Test.make ~name:"clique_upper >= certified column-generation optimum" ~count:40
+    QCheck.(pair (int_bound 100_000) (float_range 0.1 1.5))
+    (fun (seed, demand_mbps) ->
+      let model, paths = random_physical_instance seed in
+      match paths with
+      | [] -> QCheck.assume_fail ()
+      | path :: rest -> (
+        let background = List.map (fun p -> Flow.make ~path:p ~demand_mbps) rest in
+        let upper = Bounds.clique_upper model ~background ~path in
+        match Column_gen.available model ~background ~path with
+        | Some r ->
+          r.Column_gen.certified
+          && upper >= r.Column_gen.bandwidth_mbps -. (1e-9 *. Float.max 1.0 upper)
+        | None -> true))
+
+let clique_cover_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_exact_pricing_physical;
+    QCheck_alcotest.to_alcotest qcheck_exact_pricing_declared;
+    Alcotest.test_case "exact pricing past one word" `Quick test_exact_pricing_multiword;
+    QCheck_alcotest.to_alcotest qcheck_clique_upper_above_optimum;
+  ]
+
+let suite = suite @ clique_cover_suite

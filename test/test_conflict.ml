@@ -480,3 +480,70 @@ let kernel_suite =
   ]
 
 let suite = suite @ kernel_suite
+
+(* --- hard conflicts ---------------------------------------------------- *)
+
+module Kernel = Wsn_conflict.Kernel
+
+(* On SINR models a hard conflict is exactly interference at the two
+   slowest alone rates (interference power is rate-independent and
+   slower rates need less SNR), both through the kernel and through the
+   naive model's every-rate-pair test. *)
+let qcheck_hard_conflict_is_slowest_rate_interference =
+  QCheck.Test.make ~name:"Kernel.hard_conflict = interferes at the slowest rates" ~count:40
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let rng = Pcg32.create (Int64.of_int seed) in
+      let topo = random_topology rng ~nodes:8 ~side:450.0 in
+      let fast = Model.physical topo and naive = Model.physical_naive topo in
+      let live =
+        Array.of_list
+          (List.filter
+             (fun l -> Model.alone_rates naive l <> [])
+             (List.init (Topology.n_links topo) Fun.id))
+      in
+      let slowest l = List.hd (List.rev (Model.alone_rates naive l)) in
+      match Model.kernel fast with
+      | None -> false
+      | Some _ when Array.length live = 0 -> true
+      | Some k ->
+        List.for_all
+          (fun _ ->
+            let i = live.(Pcg32.next_below rng (Array.length live)) in
+            let j = live.(Pcg32.next_below rng (Array.length live)) in
+            let hard = Kernel.hard_conflict k i j in
+            hard = Model.interferes naive (i, slowest i) (j, slowest j)
+            && hard = Model.interferes fast (i, slowest i) (j, slowest j)
+            && hard = Model.hard_conflict naive i j
+            && hard = Model.hard_conflict fast i j
+            && hard = Kernel.hard_conflict k j i)
+          (List.init 60 Fun.id))
+
+let test_declared_hard_conflict () =
+  (* Links 0 and 1 clash only when both run at 36 — a declared predicate
+     need not be monotone in rate, so the slowest pair alone does not
+     make a hard conflict.  Links 0 and 2 clash at every rate pair;
+     link 3 is dead. *)
+  let model =
+    Model.declared ~n_links:4 ~rates:Rate.chain_36_54
+      ~alone_rates:(fun l -> if l = 3 then [] else [ r54; r36 ])
+      ~interferes:(fun (l1, r1) (l2, r2) ->
+        match (min l1 l2, max l1 l2) with
+        | 0, 1 -> r1 = r36 && r2 = r36
+        | 0, 2 -> true
+        | a, b -> a = b)
+  in
+  check Alcotest.bool "clash at 36/36 only" false (Model.hard_conflict model 0 1);
+  check Alcotest.bool "clash at every rate pair" true (Model.hard_conflict model 0 2);
+  check Alcotest.bool "symmetric" true (Model.hard_conflict model 2 0);
+  check Alcotest.bool "no clash" false (Model.hard_conflict model 1 2);
+  check Alcotest.bool "a link with itself" true (Model.hard_conflict model 1 1);
+  check Alcotest.bool "a dead link, vacuously" true (Model.hard_conflict model 3 1)
+
+let hard_conflict_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_hard_conflict_is_slowest_rate_interference;
+    Alcotest.test_case "declared hard conflicts" `Quick test_declared_hard_conflict;
+  ]
+
+let suite = suite @ hard_conflict_suite

@@ -88,11 +88,23 @@ let protocol_parse () =
     [
       {|{"op":"admit","source":1,"target":2}|} (* missing demand *);
       {|{"op":"admit","source":1,"target":2,"demand_mbps":-1}|};
+      {|{"op":"admit","source":1,"target":2,"demand_mbps":-1e999}|};
+      {|{"op":"query","source":1,"target":2,"demand_mbps":0}|};
       {|{"op":"release"}|};
       {|{"op":"release","flow":1,"nth":2}|};
       {|{"op":"warp"}|};
       {|{"source":1}|};
       "not json at all";
+    ];
+  (* 1e999 parses to +inf, which a [<= 0] test alone lets through. *)
+  List.iter
+    (fun line ->
+      match Protocol.parse_request line with
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | Error msg -> check Alcotest.string line {|field "demand_mbps" must be positive|} msg)
+    [
+      {|{"op":"admit","source":1,"target":2,"demand_mbps":1e999}|};
+      {|{"op":"query","source":1,"target":2,"demand_mbps":1e999}|};
     ]
 
 let protocol_quantisation () =
