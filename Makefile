@@ -13,7 +13,9 @@ CHECK_OUT ?= _build/check
 
 # Tier-1 verification: full build + every test suite (which includes
 # the sweep smoke below; listing it keeps the gate explicit and the
-# second build is a cached no-op).
+# second build is a cached no-op).  The scale, soak, master and whatif
+# smokes are not listed: artifacts-check runs the same commands, and
+# each exits 1 on a failed gate with the failure on stderr.
 check:
 	dune build
 	dune runtest
@@ -21,10 +23,6 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) parallel-smoke SMOKE_OUT=$(CHECK_OUT)
 	$(MAKE) mac-smoke SMOKE_OUT=$(CHECK_OUT)
-	$(MAKE) scale-smoke SMOKE_OUT=$(CHECK_OUT)
-	$(MAKE) soak-smoke SMOKE_OUT=$(CHECK_OUT)
-	$(MAKE) master-smoke SMOKE_OUT=$(CHECK_OUT)
-	$(MAKE) whatif-smoke SMOKE_OUT=$(CHECK_OUT)
 	$(MAKE) artifacts-check
 
 # The six deterministic artifacts: pure functions of the code (the
@@ -141,8 +139,8 @@ bench-scale:
 	dune exec bench/main.exe -- --scale --scale-out BENCH_scale.json
 
 # Same suite up to 300 nodes with timings blanked — the identity and
-# soundness gates in seconds, byte-deterministic artifact; part of
-# `make check`.
+# soundness gates in seconds, byte-deterministic artifact; `make
+# check` runs it through artifacts-check.
 scale-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- --scale-quick --scale-out $(SMOKE_OUT)/BENCH_scale_quick.json
@@ -157,7 +155,8 @@ bench-soak:
 	dune exec bench/main.exe -- --soak --soak-out BENCH_soak.json
 
 # Same suite on a short horizon with timings blanked — the identity
-# gates in seconds, byte-deterministic artifact; part of `make check`.
+# gates in seconds, byte-deterministic artifact; `make check` runs it
+# through artifacts-check.
 soak-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- --soak-quick --soak-out $(SMOKE_OUT)/BENCH_soak_quick.json
@@ -172,7 +171,8 @@ bench-master:
 	dune exec bench/main.exe -- --master --master-out BENCH_master.json
 
 # Same suite at 300 nodes with timings blanked — the wire-identity gate
-# in seconds, byte-deterministic artifact; part of `make check`.
+# in seconds, byte-deterministic artifact; `make check` runs it
+# through artifacts-check.
 master-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- --master-quick --master-out $(SMOKE_OUT)/BENCH_master_quick.json
@@ -185,8 +185,8 @@ bench-whatif:
 	dune exec bench/main.exe -- --whatif --whatif-out BENCH_whatif.json
 
 # Same suite on fewer factors with timings blanked — the in-range
-# identity gate in seconds, byte-deterministic artifact; part of
-# `make check`.
+# identity gate in seconds, byte-deterministic artifact; `make check`
+# runs it through artifacts-check.
 whatif-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- --whatif-quick --whatif-out $(SMOKE_OUT)/BENCH_whatif_quick.json

@@ -306,10 +306,6 @@ module Inc = struct
     if p < 0 || p >= st.count then invalid_arg "Kernel.Inc.max_rate";
     st.rate.(p)
 
-  let last_max_rate st =
-    if st.count = 0 then invalid_arg "Kernel.Inc.last_max_rate: empty set";
-    st.rate.(st.count - 1)
-
   let members st = Array.to_list (Array.sub st.members_ 0 st.count)
 
   let add st l =

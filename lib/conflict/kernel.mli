@@ -133,9 +133,6 @@ module Inc : sig
   (** [max_rate st p] is the current maximum supported rate of the
       [p]-th member under the whole set's interference. *)
 
-  val last_max_rate : state -> Wsn_radio.Rate.t
-  (** Maximum rate of the most recently added member. *)
-
   val members : state -> int list
   (** Links in insertion order. *)
 end

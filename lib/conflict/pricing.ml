@@ -9,18 +9,19 @@ let m_nodes = Telemetry.counter "pricing.nodes"
    order) the assignment includes — so subtrees can be searched on
    separate domains.  Determinism does not depend on the interleaving:
 
-   - Recording is strict ([value > best], no epsilon), so each subtree
-     returns the first-in-its-DFS-order occurrence of its maximum, and
-     folding the subtree results in root order with the same strict
-     compare yields the first-in-global-DFS-order occurrence of the
-     global maximum — exactly what a sequential strict-recording run
-     computes.
+   - Each subtree returns the occurrence of its maximum with the
+     smallest (candidate position, rate) list, and folding the subtree
+     results in root order with a strict compare yields the smallest
+     such occurrence of the global maximum (a subtree's lists all
+     start with its root) — exactly what a sequential run computes.
    - The shared incumbent bound only ever holds the value of some
      explored assignment, hence is [<=] the global maximum, and a
      branch is cut only when its optimistic potential is strictly
      below the bound — such a branch cannot contain any occurrence of
      the maximum, so pruning (however the domains race) never changes
-     which occurrence wins.
+     which occurrence wins.  Within a subtree a branch is cut when its
+     potential is at most the incumbent, which, being slacked above
+     every completion, rules out ties too.
 
    The potential comes from a clique cover of the candidates'
    hard-conflict graph ({!Model.hard_conflict}): at most one member of
@@ -113,12 +114,14 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
       if v > cur && not (Atomic.compare_and_set bound cur v) then publish v
     in
     (* Search one subtree: all assignments whose first included
-       candidate is [root].  [try_rates] enumerates the feasible rates
-       of candidate [i] given the search state and runs [enter] on
-       each; state save/restore brackets the recursion. *)
-    let subtree ~try_rates root =
+       candidate is [root].  [extend value i enter] runs [enter] on the
+       value of each child that includes candidate [i] in a node worth
+       [value], and [current ()] lists the node's (candidate position,
+       rate) pairs in insertion order; state save/restore brackets the
+       recursion. *)
+    let subtree ~extend ~current root =
       let best_value = ref 0.0 in
-      let best_assignment = ref [] in
+      let best_key = ref [] in
       let nodes = ref 0 in
       (* Row [d] of [blocked]: the positions hard-conflicting with one
          of the [d] members chosen on the current path. *)
@@ -143,17 +146,25 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
           blocked.(((d + 1) * words) + x) <- blocked.((d * words) + x) lor rows.((i * words) + x)
         done
       in
-      let record assignment value =
+      (* A strictly better node wins; an exactly equal one wins when
+         its key is smaller — the order in which a search branching on
+         every rate meets its nodes, which the set search must
+         reproduce to return the same column. *)
+      let record value =
         if value > !best_value then begin
           best_value := value;
-          best_assignment := List.rev assignment;
+          best_key := current ();
           publish value
         end
+        else if Float.equal value !best_value then begin
+          let key = current () in
+          if compare key !best_key < 0 then best_key := key
+        end
       in
-      let rec branch d i assignment value =
+      let rec branch d i value =
         incr nodes;
-        record assignment value;
-        (* A blocked candidate would fail [try_rates] (hard conflicts
+        record value;
+        (* A blocked candidate would fail [extend] (hard conflicts
            are anti-monotone): step over it without trying. *)
         let i = ref i in
         while !i < n && mem blocked (d * words) !i do
@@ -163,98 +174,99 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
         if i < n then begin
           let optimistic = (value +. potential d i) *. slack in
           if optimistic > !best_value && optimistic >= Atomic.get bound then begin
-            let l, w, _ = candidates.(i) in
             choose d i;
-            try_rates i (fun r ->
-                branch (d + 1) (i + 1) ((l, r) :: assignment) (value +. (w *. mbps r)));
+            extend value i (branch (d + 1) (i + 1));
             (* Or skip it. *)
-            branch d (i + 1) assignment value
+            branch d (i + 1) value
           end
         end
       in
       (* A whole subtree strictly below the incumbent cannot contain
          any occurrence of the maximum. *)
       if potential 0 root *. slack >= Atomic.get bound then begin
-        let l, w, _ = candidates.(root) in
         choose 0 root;
-        try_rates root (fun r -> branch 1 (root + 1) [ (l, r) ] (w *. mbps r))
+        extend 0.0 root (branch 1 (root + 1))
       end;
       Telemetry.add m_nodes !nodes;
-      (!best_value, !best_assignment)
+      (!best_value, !best_key)
+    in
+    let link p =
+      let l, _, _ = candidates.(p) in
+      l
     in
     let roots = Array.init n (fun i -> i) in
     let results =
       match Model.kernel model with
       | Some k ->
-        (* Incremental search: one [Inc.add] per candidate link serves
-           every rate branch (interference is rate-independent).  A
-           chosen-rate vector over the current set is feasible iff the
-           set is independent and each chosen rate is no faster than
-           the member's current maximum — exactly what the naive
-           path's per-rate [Model.feasible] calls establish, so both
-           paths explore identical branches in identical order.
-           [Inc.add] touches only its own state and the kernel's
-           read-only tables (never the shared memo), so subtrees with
-           per-domain states search one kernel concurrently. *)
+        (* Set search: one child per accepted [Inc.add].  Interference
+           is rate-independent and members' maximum rates only fall as
+           links join, so a set at its maximum rate vector is worth at
+           least any other feasible vector of it, and every prefix of
+           a set is worth at least its share of the whole — the clique
+           bound holds as it does for rate branching.  A node is valued
+           in insertion order from [0.0], the sum a rate-branching
+           search accumulates along the path to that vector.  [Inc.add]
+           touches only its own state and the kernel's read-only tables
+           (never the shared memo), so subtrees with per-domain states
+           search one kernel concurrently. *)
         Pool.map (Pool.global ())
           (fun root ->
             let st = Kernel.Inc.start k in
-            let chosen = Array.make n 0 in
-            let try_rates i enter =
-              let l, _, _ = candidates.(i) in
-              if Kernel.Inc.add st l then begin
+            (* pos.(p): candidate position of the [p]-th member. *)
+            let pos = Array.make n 0 in
+            let extend _ i enter =
+              if Kernel.Inc.add st (link i) then begin
                 let sz = Kernel.Inc.size st in
-                let members_still_support_chosen =
-                  let ok = ref true in
-                  for p = 0 to sz - 2 do
-                    if chosen.(p) < Kernel.Inc.max_rate st p then ok := false
-                  done;
-                  !ok
-                in
-                if members_still_support_chosen then begin
-                  let rmin = Kernel.Inc.last_max_rate st in
-                  List.iter
-                    (fun r ->
-                      if r >= rmin then begin
-                        chosen.(sz - 1) <- r;
-                        enter r
-                      end)
-                    (Model.alone_rates model l)
-                end;
+                pos.(sz - 1) <- i;
+                let value = ref 0.0 in
+                for p = 0 to sz - 1 do
+                  let _, w, _ = candidates.(pos.(p)) in
+                  value := !value +. (w *. mbps (Kernel.Inc.max_rate st p))
+                done;
+                enter !value;
                 Kernel.Inc.undo st
               end
             in
-            subtree ~try_rates root)
+            let current () =
+              List.init (Kernel.Inc.size st) (fun p -> (pos.(p), Kernel.Inc.max_rate st p))
+            in
+            subtree ~extend ~current root)
           roots
       | None ->
-        (* Arbitrary user models carry closures of unknown
-           thread-safety; search their subtrees on the caller only. *)
+        (* A declared predicate need not be monotone in rate, so a set's
+           best vector is not read off the set: branch on every alone
+           rate and test each extension.  Arbitrary user models carry
+           closures of unknown thread-safety; search their subtrees on
+           the caller only. *)
         Array.map
           (fun root ->
-            let rev_assignment = ref [] in
-            let try_rates i enter =
-              let l, _, _ = candidates.(i) in
+            (* (position, rate) pairs, newest first. *)
+            let path = ref [] in
+            let extend value i enter =
+              let _, w, _ = candidates.(i) in
               List.iter
                 (fun r ->
-                  let extended = (l, r) :: !rev_assignment in
-                  if Model.feasible model (List.rev extended) then begin
-                    rev_assignment := extended;
-                    enter r;
-                    rev_assignment := List.tl !rev_assignment
+                  let extended = (i, r) :: !path in
+                  if Model.feasible model (List.rev_map (fun (p, r) -> (link p, r)) extended)
+                  then begin
+                    path := extended;
+                    enter (value +. (w *. mbps r));
+                    path := List.tl !path
                   end)
-                (Model.alone_rates model l)
+                (Model.alone_rates model (link i))
             in
-            subtree ~try_rates root)
+            subtree ~extend ~current:(fun () -> List.rev !path) root)
           roots
     in
     let best_value = ref 0.0 in
-    let best_assignment = ref [] in
+    let best_key = ref [] in
     Array.iter
-      (fun (v, a) ->
+      (fun (v, key) ->
         if v > !best_value then begin
           best_value := v;
-          best_assignment := a
+          best_key := key
         end)
       results;
-    if !best_assignment = [] then None else Some (!best_assignment, !best_value)
+    if !best_key = [] then None
+    else Some (List.map (fun (p, r) -> (link p, r)) !best_key, !best_value)
   end

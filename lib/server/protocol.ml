@@ -122,7 +122,7 @@ let parse_request line =
 (* --- Response building --------------------------------------------- *)
 
 (* All bandwidth figures cross the wire at 3 decimals; [mbps] is the
-   matching quantisation so decisions and reported numbers agree.
+   matching quantisation, applied when printing.
    Rounding happens in two stages: snap to 6 decimals first, then to 3.
    Equation-6 optima are small-denominator rationals (demands are
    quarter-Mbit/s, rates a handful of values), so they frequently land

@@ -59,8 +59,9 @@ val parse_request : string -> (int option * request, string) result
 
 val mbps : float -> float
 (** Quantise a bandwidth figure to the protocol's 3-decimal wire
-    precision.  Admission decisions are taken on this quantised value,
-    so the decision is a function of the bytes on the wire. *)
+    precision, as printed in responses.  Admission is decided on the
+    unrounded figure: rounding up could admit a demand above the
+    optimum. *)
 
 val admit_response :
   id:int ->

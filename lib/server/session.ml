@@ -27,8 +27,11 @@ let m_memo_hits = Telemetry.counter "server.memo_hits"
 
 let m_schedule_reuses = Telemetry.counter "server.schedule_reuses"
 
-(* Same threshold as [Wsn_routing.Admission], applied to the quantised
-   figure so the decision is a function of the wire bytes. *)
+(* Same threshold as [Wsn_routing.Admission], applied to the unrounded
+   optimum: a wire figure rounded up to the demand must not admit a
+   flow the path cannot carry.  The margin also swallows the
+   machine-precision noise between warm and cold solves, so both modes
+   still decide alike. *)
 let admission_eps = 1e-6
 
 type mode = Warm | Cold
@@ -191,7 +194,7 @@ let route_and_price t ~source ~target =
      | None -> Ok (None, 0.0)
      | Some path -> (
        match availability t path with
-       | Some avail -> Ok (Some path, Protocol.mbps avail)
+       | Some avail -> Ok (Some path, avail)
        | None -> Error "internal: availability LP infeasible"))
 
 let check_node t name n =

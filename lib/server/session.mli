@@ -17,9 +17,10 @@
     A [Cold] session is the reference: every request recomputes the
     schedule and solves the full enumeration LP
     ({!Wsn_availbw.Path_bandwidth.available}) from scratch.  Both modes
-    quantise to the wire precision before deciding admission
-    ({!Protocol.mbps}), so their response transcripts are byte-equal —
-    the invariant the bench gates.
+    decide admission on the unrounded optimum with a [1e-6] margin and
+    print it quantised to the wire precision ({!Protocol.mbps}), so
+    their response transcripts are byte-equal — the invariant the
+    bench gates.
 
     [whatif] and [prices] requests sit outside that byte-identity
     contract: a [Warm] session answers them from the dual view of the

@@ -659,3 +659,87 @@ let clique_cover_suite =
   ]
 
 let suite = suite @ clique_cover_suite
+
+(* --- exact pricing: set search vs rate branching ---------------------- *)
+
+(* A random 6-10-node physical topology in the paper's area and its two
+   SINR models: the kernel-backed one, whose pricer branches on link
+   sets, and the naive one, whose pricer branches on every rate. *)
+let random_small_world seed =
+  let n_nodes = 6 + (seed mod 5) in
+  let rng = Wsn_prng.Pcg32.create (Int64.of_int (2_000 + seed)) in
+  let cfg =
+    { (Wsn_workload.Scenarios.Scale_scenario.config ~n_nodes:30) with Generator.n_nodes }
+  in
+  let topo = Generator.connected_topology rng cfg in
+  (rng, Model.physical topo, Model.physical_naive topo)
+
+(* Weights from {0, 1/36, 1/9, 1/4}: many sets tie exactly, so the
+   returned column depends on how ties are broken, not only on the
+   optimum. *)
+let tie_weights rng n =
+  let levels = [| 0.0; 1.0 /. 36.0; 1.0 /. 9.0; 0.25 |] in
+  let w = Array.init n (fun _ -> levels.(Wsn_prng.Pcg32.next_below rng 4)) in
+  fun l -> w.(l)
+
+let qcheck_set_search_equals_rate_branching =
+  QCheck.Test.make ~name:"exact pricer: set search = rate branching under exact ties"
+    ~count:1000
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, fast, naive = random_small_world seed in
+      let n_links = Model.n_links fast in
+      let weights = tie_weights rng n_links in
+      let universe = List.init n_links Fun.id in
+      match
+        ( Pricing.max_weight_independent fast ~weights ~universe,
+          Pricing.max_weight_independent naive ~weights ~universe )
+      with
+      | Some (a, v), Some (a', v') -> a = a' && Float.equal v v'
+      | None, None -> true
+      | _ -> false)
+
+(* Column generation on top of either pricer: the same bandwidth and
+   schedule shares, bit for bit. *)
+let test_exact_colgen_kernel_equals_naive () =
+  let hex x = Printf.sprintf "%h" x in
+  let compared = ref 0 in
+  List.iter
+    (fun seed ->
+      let model, paths = random_physical_instance seed in
+      match paths with
+      | [] | [ _ ] -> ()
+      | path :: rest ->
+        let naive =
+          Model.physical_naive (Wsn_conflict.Kernel.topology (Option.get (Model.kernel model)))
+        in
+        let background = List.map (fun p -> Flow.make ~path:p ~demand_mbps:0.4) rest in
+        let run m = Column_gen.available ~pricer:Column_gen.Exact m ~background ~path in
+        let slots (r : Column_gen.result) =
+          List.map
+            (fun (s : Schedule.slot) ->
+              Printf.sprintf "%s@%s:%s"
+                (String.concat "," (List.map string_of_int s.Schedule.links))
+                (String.concat "," (List.map string_of_int s.Schedule.rates))
+                (hex s.Schedule.share))
+            (Schedule.slots r.Column_gen.schedule)
+        in
+        (match (run model, run naive) with
+         | Some a, Some b ->
+           incr compared;
+           check Alcotest.string "bandwidth" (hex a.Column_gen.bandwidth_mbps)
+             (hex b.Column_gen.bandwidth_mbps);
+           check (Alcotest.list Alcotest.string) "schedule" (slots a) (slots b)
+         | None, None -> ()
+         | _ -> Alcotest.fail "one model found the background infeasible"))
+    (List.init 12 Fun.id);
+  check Alcotest.bool "compared some instances" true (!compared > 0)
+
+let set_search_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_set_search_equals_rate_branching;
+    Alcotest.test_case "exact colgen: kernel = naive, hex floats" `Quick
+      test_exact_colgen_kernel_equals_naive;
+  ]
+
+let suite = suite @ set_search_suite

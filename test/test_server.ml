@@ -167,6 +167,45 @@ let session_id_echo () =
   let response, _ = Session.handle_line s ~seq:5 {|{"op":"ping","id":77}|} in
   check Alcotest.string "explicit id wins" {|{"id":77,"ok":true,"op":"pong"}|} response
 
+(* The optimum of the two-link path 0 -> 3 on topology 1 is 36/7 =
+   5.142857... Mbps, printed as 5.143.  A demand of exactly the printed
+   figure exceeds what the path carries: admitting it left a flow set
+   no schedule serves, and every later request failed.  Both modes
+   must reject it and keep serving. *)
+let admission_decided_unrounded () =
+  let topo, model = small_world 1L in
+  let field name line = Json.member name (Result.get_ok (Json.parse line)) in
+  List.iter
+    (fun mode ->
+      let s = Session.create ~mode ~topo ~model () in
+      let query, _ = Session.handle_line s ~seq:1 {|{"op":"query","source":0,"target":3}|} in
+      let path =
+        match Option.bind (field "path" query) Json.to_list with
+        | Some links -> List.filter_map Json.to_int links
+        | None -> Alcotest.fail "0 -> 3 must route"
+      in
+      let raw =
+        match Wsn_availbw.Column_gen.available model ~background:[] ~path with
+        | Some r -> r.Wsn_availbw.Column_gen.bandwidth_mbps
+        | None -> Alcotest.fail "an empty network is schedulable"
+      in
+      check Alcotest.string "wire figure rounds up" "5.143" (Printf.sprintf "%.3f" raw);
+      check Alcotest.bool "raw optimum below the demand" true (raw < 5.143 -. 1e-6);
+      let admit, _ =
+        Session.handle_line s ~seq:2
+          {|{"op":"admit","source":0,"target":3,"demand_mbps":5.143}|}
+      in
+      check Alcotest.bool "rejected" true (field "admitted" admit = Some (Json.Bool false));
+      check Alcotest.int "nothing admitted" 0 (Session.live_flows s);
+      let after, _ =
+        Session.handle_line s ~seq:3
+          {|{"op":"query","source":0,"target":3,"demand_mbps":5.143}|}
+      in
+      check Alcotest.bool "later requests succeed" true (field "ok" after = Some (Json.Bool true));
+      check Alcotest.bool "not admissible" true
+        (field "admissible" after = Some (Json.Bool false)))
+    [ Session.Warm; Session.Cold ]
+
 (* --- stdio transport over pipes -------------------------------------- *)
 
 let stdio_transport () =
@@ -425,6 +464,8 @@ let suite =
     Alcotest.test_case "wire quantisation" `Quick protocol_quantisation;
     Alcotest.test_case "session lifecycle" `Quick session_lifecycle;
     Alcotest.test_case "session id echo" `Quick session_id_echo;
+    Alcotest.test_case "admission decided on the unrounded optimum" `Quick
+      admission_decided_unrounded;
     Alcotest.test_case "stdio transport over pipes" `Quick stdio_transport;
     Alcotest.test_case "admission traces deterministic" `Quick trace_deterministic;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
