@@ -2,6 +2,8 @@ type t = { n : int; w : int array }
 
 let bits = 63
 
+let word_bits = bits
+
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { n; w = Array.make (max 1 ((n + bits - 1) / bits)) 0 }

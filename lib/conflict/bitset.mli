@@ -54,4 +54,8 @@ val of_list : int -> int list -> t
 
 val words : t -> int array
 (** The backing words (do not mutate): a cheap canonical key — copy
-    before using as a hash-table key. *)
+    before using as a hash-table key.  Member [i] is bit
+    [i mod word_bits] of word [i / word_bits]. *)
+
+val word_bits : int
+(** Members per backing word (63). *)

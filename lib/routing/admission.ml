@@ -83,7 +83,7 @@ let run_with ?(stop_on_failure = true) ?max_sets ~label ~router _topo model ~flo
 let run ?stop_on_failure ?max_sets topo model ~metric ~flows =
   let router ~background ~schedule ~source ~target =
     ignore background;
-    let idleness l = Idleness.link_idleness topo schedule l in
+    let idleness = Idleness.table_link_idleness topo (Idleness.node_table topo schedule) in
     Router.find_path topo ~metric ~idleness ~source ~target
   in
   run_with ?stop_on_failure ?max_sets ~label:(Metrics.name metric) ~router topo model ~flows

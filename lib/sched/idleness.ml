@@ -24,3 +24,9 @@ let node_idleness topo sched v = Float.max 0.0 (1.0 -. node_busy_share topo sche
 let link_idleness topo sched l =
   let e = Topology.link topo l in
   Float.min (node_idleness topo sched e.Digraph.src) (node_idleness topo sched e.Digraph.dst)
+
+let node_table topo sched = Array.init (Topology.n_nodes topo) (node_idleness topo sched)
+
+let table_link_idleness topo table l =
+  let e = Topology.link topo l in
+  Float.min table.(e.Digraph.src) table.(e.Digraph.dst)

@@ -17,3 +17,17 @@ val node_idleness : Wsn_net.Topology.t -> Schedule.t -> int -> float
 val link_idleness : Wsn_net.Topology.t -> Schedule.t -> int -> float
 (** Equation (10): the idleness a link can exploit is the smaller of its
     transmitter's and receiver's idleness. *)
+
+val node_table : Wsn_net.Topology.t -> Schedule.t -> float array
+(** [node_table topo sched] holds every node's idleness under [sched],
+    indexed by node: entry [v] is [node_idleness topo sched v], computed
+    by that very function, so it is bit-identical to it.  Idleness
+    depends only on the schedule, so a router that prices many links
+    against one schedule builds this once (O(n · slots · links)) instead
+    of re-folding both endpoints over every slot per link. *)
+
+val table_link_idleness : Wsn_net.Topology.t -> float array -> int -> float
+(** [table_link_idleness topo (node_table topo sched) l] is Equation
+    (10) read from the table: the same [Float.min] of the same two
+    floats as [link_idleness topo sched l], hence equal to it under
+    [Float.equal]. *)

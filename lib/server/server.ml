@@ -12,24 +12,42 @@ let m_requests = Telemetry.counter "server.requests"
 (* Buffered reads stay on [Unix.read] so [select] remains truthful:
    lines already split live in [pending], partial data in [partial].
    This is what lets a wave drain exactly the bytes that have arrived
-   without blocking for more. *)
+   without blocking for more.  A line longer than [max_line] bytes is
+   not buffered: the reader drops its bytes up to the next newline and
+   queues one [Too_long] in its place, so memory stays bounded and the
+   stream resyncs on the following line. *)
 module Line_reader = struct
+  type line = Line of string | Too_long
+
   type t = {
     fd : Unix.file_descr;
-    pending : string Queue.t;
+    max_line : int;
+    pending : line Queue.t;
     partial : Buffer.t;
+    mutable skipping : bool;  (* inside a line already past [max_line] *)
     mutable eof : bool;
   }
 
-  let create fd = { fd; pending = Queue.create (); partial = Buffer.create 256; eof = false }
+  let create ~max_line fd =
+    { fd; max_line; pending = Queue.create (); partial = Buffer.create 256; skipping = false;
+      eof = false }
+
+  let end_line t =
+    Queue.add (if t.skipping then Too_long else Line (Buffer.contents t.partial)) t.pending;
+    Buffer.clear t.partial;
+    t.skipping <- false
 
   let split_into t chunk len =
     for i = 0 to len - 1 do
       match Bytes.get chunk i with
-      | '\n' ->
-        Queue.add (Buffer.contents t.partial) t.pending;
-        Buffer.clear t.partial
-      | c -> Buffer.add_char t.partial c
+      | '\n' -> end_line t
+      | c ->
+        if t.skipping then ()
+        else if Buffer.length t.partial >= t.max_line then begin
+          Buffer.reset t.partial;
+          t.skipping <- true
+        end
+        else Buffer.add_char t.partial c
     done
 
   (* One [read]; [false] on EOF.  Caller has checked readability (or
@@ -39,10 +57,7 @@ module Line_reader = struct
     match Unix.read t.fd chunk 0 4096 with
     | 0 ->
       t.eof <- true;
-      if Buffer.length t.partial > 0 then begin
-        Queue.add (Buffer.contents t.partial) t.pending;
-        Buffer.clear t.partial
-      end;
+      if Buffer.length t.partial > 0 || t.skipping then end_line t;
       false
     | n ->
       split_into t chunk n;
@@ -71,6 +86,9 @@ module Line_reader = struct
     go [] max
 end
 
+(* Longest request line a server reads: 1 MiB, newline excluded. *)
+let max_request_line = 1 lsl 20
+
 let write_all fd s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
@@ -87,7 +105,7 @@ let write_all fd s =
 (* Serve [session] until EOF or shutdown; returns [true] when shutdown
    was requested (the socket server uses it to stop accepting). *)
 let serve_stream ~session ~batch fd_in fd_out =
-  let lr = Line_reader.create fd_in in
+  let lr = Line_reader.create ~max_line:max_request_line fd_in in
   let shutdown = ref false in
   let seq = ref 0 in
   let rec loop () =
@@ -102,7 +120,14 @@ let serve_stream ~session ~batch fd_in fd_out =
         (fun line ->
           if not !shutdown then begin
             incr seq;
-            let response, stop = Session.handle_line session ~seq:!seq line in
+            let response, stop =
+              match line with
+              | Line_reader.Line l -> Session.handle_line session ~seq:!seq l
+              | Line_reader.Too_long ->
+                ( Session.reject_line session ~seq:!seq
+                    (Printf.sprintf "line too long (limit %d bytes)" max_request_line),
+                  false )
+            in
             Buffer.add_string out response;
             Buffer.add_char out '\n';
             if stop then shutdown := true
@@ -155,28 +180,34 @@ let run_socket ~make_session ?(batch = 32) ?max_conns ~path () =
   in
   let serve_conn conn =
     let session = make_session () in
-    let shutdown = serve_stream ~session ~batch conn conn in
+    (* A peer that hangs up early ends its own connection only. *)
+    let shutdown =
+      try serve_stream ~session ~batch conn conn
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
+    in
     (try Unix.close conn with Unix.Unix_error _ -> ());
     shutdown
   in
-  (try
-     while (not !stop) && remaining () > 0 do
-       let conns = accept_wave () in
-       served := !served + List.length conns;
-       Telemetry.add m_connections (List.length conns);
-       let shutdowns =
-         match conns with
-         | [ one ] -> [ serve_conn one ]
-         | many -> Pool.map_list pool serve_conn many
-       in
-       if List.exists Fun.id shutdowns then stop := true
-     done
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     (try Unix.unlink path with Unix.Unix_error _ -> ());
-     raise e);
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ -> ())
+  (* Ignoring SIGPIPE turns a write to a closed peer into the EPIPE
+     that [serve_conn] handles, instead of killing the process. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      while (not !stop) && remaining () > 0 do
+        let conns = accept_wave () in
+        served := !served + List.length conns;
+        Telemetry.add m_connections (List.length conns);
+        let shutdowns =
+          match conns with
+          | [ one ] -> [ serve_conn one ]
+          | many -> Pool.map_list pool serve_conn many
+        in
+        if List.exists Fun.id shutdowns then stop := true
+      done)
 
 (* --- Client -------------------------------------------------------- *)
 
@@ -194,12 +225,13 @@ let run_client ~path ~lines f =
         lines;
       write_all sock (Buffer.contents buf);
       Unix.shutdown sock Unix.SHUTDOWN_SEND;
-      let lr = Line_reader.create sock in
+      (* Responses are not capped: [Too_long] never comes back. *)
+      let lr = Line_reader.create ~max_line:max_int sock in
       let rec go () =
         match Line_reader.next_line lr with
-        | Some l ->
+        | Some (Line_reader.Line l) ->
           f l;
           go ()
-        | None -> ()
+        | Some Line_reader.Too_long | None -> ()
       in
       go ())

@@ -7,7 +7,12 @@
     whole burst is answered in one wave — under a Warm session the wave
     shares one cached background schedule and one column pool, so a
     burst of queries costs one re-optimisation each, not one full
-    rebuild each. *)
+    rebuild each.
+
+    Both transports read request lines of at most 1 MiB.  A longer line
+    is not buffered: it draws one [{"ok":false}] "line too long"
+    response (see {!Session.reject_line}) and the reader resyncs at its
+    newline. *)
 
 val run_stdio :
   session:Session.t -> ?batch:int -> Unix.file_descr -> Unix.file_descr -> unit
@@ -29,7 +34,10 @@ val run_socket :
     memos.  Pending connections are accepted as a wave and served
     concurrently over the global {!Wsn_parallel.Pool}.  Returns after
     [max_conns] connections (when given) or once any session receives
-    [shutdown]; the socket file is unlinked on the way out. *)
+    [shutdown]; the socket file is unlinked on the way out.  SIGPIPE is
+    ignored while it runs, so a client that closes before reading its
+    responses ([EPIPE], or [ECONNRESET] on the next read) ends its own
+    connection only. *)
 
 val run_client : path:string -> lines:string list -> (string -> unit) -> unit
 (** [run_client ~path ~lines f] connects to the socket, writes every

@@ -1,6 +1,5 @@
 module Topology = Wsn_net.Topology
 module Model = Wsn_conflict.Model
-module Schedule = Wsn_sched.Schedule
 module Idleness = Wsn_sched.Idleness
 module Flow = Wsn_availbw.Flow
 module Path_bandwidth = Wsn_availbw.Path_bandwidth
@@ -57,7 +56,9 @@ type t = {
   mutable sens : (string * Column_gen.sensitivity) option;
   mutable flows : (int * Flow.t) list;  (* oldest admission first *)
   mutable next_flow_id : int;
-  mutable cached_schedule : Schedule.t option;  (* Warm only *)
+  (* Warm only: node idleness under the background schedule, the one
+     thing routing reads from that schedule. *)
+  mutable cached_idleness : float array option;
   mutable counts : (string * int ref) list;  (* deterministic stats *)
 }
 
@@ -87,7 +88,7 @@ let create ?(metric = Metrics.Average_e2e_delay) ?(pricer = Column_gen.Exact) ?(
     sens = None;
     flows = [];
     next_flow_id = 0;
-    cached_schedule = None;
+    cached_idleness = None;
     counts = [];
   }
 
@@ -97,25 +98,31 @@ let live_flows t = List.length t.flows
 
 let background t = List.map snd t.flows
 
-(* Background schedule: both modes call the identical pure function on
-   the identical flow list; Warm merely caches the result until the
-   flow set changes.  [None] = admitted set infeasible, which admission
-   control rules out — treated as an internal error upstream. *)
-let schedule t =
+(* Node idleness under the background schedule: both modes call the
+   identical pure functions on the identical flow list; Warm merely
+   caches the table until the flow set changes, Cold rebuilds it from a
+   fresh schedule per request.  [None] = admitted set infeasible, which
+   admission control rules out — treated as an internal error
+   upstream. *)
+let idleness_table t =
+  let build () =
+    Option.map (Idleness.node_table t.topo)
+      (Path_bandwidth.background_schedule t.model (background t))
+  in
   match t.smode with
-  | Cold -> Path_bandwidth.background_schedule t.model (background t)
+  | Cold -> build ()
   | Warm -> (
-    match t.cached_schedule with
-    | Some s ->
+    match t.cached_idleness with
+    | Some table ->
       Telemetry.incr m_schedule_reuses;
-      Some s
+      Some table
     | None ->
-      let s = Path_bandwidth.background_schedule t.model (background t) in
-      t.cached_schedule <- s;
-      s)
+      let table = build () in
+      t.cached_idleness <- table;
+      table)
 
 let invalidate t =
-  t.cached_schedule <- None;
+  t.cached_idleness <- None;
   t.sens <- None
 
 let memo_key background path =
@@ -184,12 +191,13 @@ let sens_for t ~bg ~path =
       s)
 
 (* Route then price: the paper's idleness-aware QoS routing (§4) over
-   the current schedule, then the Equation-6 LP on the chosen path. *)
+   the current schedule's idleness table, then the Equation-6 LP on the
+   chosen path. *)
 let route_and_price t ~source ~target =
-  match schedule t with
+  match idleness_table t with
   | None -> Error "internal: admitted flow set became infeasible"
-  | Some s ->
-    let idleness l = Idleness.link_idleness t.topo s l in
+  | Some table ->
+    let idleness = Idleness.table_link_idleness t.topo table in
     (match Router.find_path t.topo ~metric:t.metric ~idleness ~source ~target with
      | None -> Ok (None, 0.0)
      | Some path -> (
@@ -407,13 +415,15 @@ let handle t ~id request =
     bump t "errors";
     Protocol.error_response ~id reason
 
+let reject_line t ~seq reason =
+  Telemetry.incr m_errors;
+  bump t "errors";
+  Protocol.error_response ~id:seq reason
+
 let handle_line t ~seq line =
   Wsn_telemetry.Span.with_span "server.request" (fun () ->
       match Protocol.parse_request line with
-      | Error reason ->
-        Telemetry.incr m_errors;
-        bump t "errors";
-        (Protocol.error_response ~id:seq reason, false)
+      | Error reason -> (reject_line t ~seq reason, false)
       | Ok (id, request) ->
         let id = Option.value id ~default:seq in
         (handle t ~id request, request = Protocol.Shutdown))

@@ -5,8 +5,13 @@
     A [Warm] session reuses work across requests three ways:
 
     - the background schedule (minimum-airtime cover of the admitted
-      flows, the input to idleness-aware routing) is cached and only
-      recomputed when the flow set changes;
+      flows) is computed once per flow set, and the session keeps the
+      part of it routing reads: its node-idleness table
+      ({!Wsn_sched.Idleness.node_table}, bit-identical to
+      {!Wsn_sched.Idleness.node_idleness}), which every Dijkstra edge
+      relaxation reads through
+      {!Wsn_sched.Idleness.table_link_idleness}.  An admit or a release
+      that changes the flow set drops it;
     - availability LPs run through {!Wsn_availbw.Column_gen} warm
       masters ([Problem.solve_warm]/[add_column]/[resolve]) seeded from
       a session-wide column {!Wsn_availbw.Column_gen.pool}, so columns
@@ -15,7 +20,8 @@
       from a transcript memo without touching the LP.
 
     A [Cold] session is the reference: every request recomputes the
-    schedule and solves the full enumeration LP
+    schedule, rebuilds its idleness table from it, and solves the full
+    enumeration LP
     ({!Wsn_availbw.Path_bandwidth.available}) from scratch.  Both modes
     decide admission on the unrounded optimum with a [1e-6] margin and
     print it quantised to the wire precision ({!Protocol.mbps}), so
@@ -73,6 +79,11 @@ val handle_line : t -> seq:int -> string -> string * bool
     [seq] (1-based) is echoed as the response id when the request
     carries none.  Never raises on protocol errors — they become
     [{"ok":false}] responses. *)
+
+val reject_line : t -> seq:int -> string -> string
+(** [reject_line t ~seq reason] answers a request line the transport
+    refused to read (it was too long) exactly like an unparsable one: an
+    [{"ok":false}] response with id [seq], counted as an error. *)
 
 val handle : t -> id:int -> Protocol.request -> string
 (** Typed entry point behind {!handle_line}, for tests and benches that

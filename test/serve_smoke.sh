@@ -71,6 +71,28 @@ assert "server exits 0 after --max-conns 1" test $? -eq 0
 assert "socket transcript == stdio transcript" cmp -s "$T/socket.txt" "$T/warm.txt"
 assert "socket file unlinked on exit" test ! -e "$SOCK"
 
+# --- a client that hangs up early ends only its own connection -------
+# It writes 3000 pings and closes without reading a response: the
+# server's writes to it fail (EPIPE) and must not kill the server, so
+# the next client is still served and the server still exits 0.
+SOCK="$T/hangup.sock"
+"$BIN" serve --socket "$SOCK" --max-conns 2 &
+SERVER=$!
+for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.05; done
+python3 - "$SOCK" <<'EOF_PY'
+import socket, sys
+c = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+c.connect(sys.argv[1])
+c.sendall(b'{"op":"ping"}\n' * 3000)
+c.close()
+EOF_PY
+assert "early-closing client exits 0" test $? -eq 0
+"$BIN" serve --client --socket "$SOCK" <"$T/trace.txt" >"$T/after-hangup.txt"
+assert "next client is served after an early hang-up" test $? -eq 0
+wait "$SERVER"
+assert "server exits 0 after an early hang-up" test $? -eq 0
+assert "transcript after a hang-up == stdio transcript" cmp -s "$T/after-hangup.txt" "$T/warm.txt"
+
 # --- error paths ------------------------------------------------------
 "$BIN" serve --client --socket "$T/absent.sock" </dev/null >/dev/null 2>"$T/err.txt"
 assert "client without server exits 1" test $? -eq 1

@@ -468,3 +468,46 @@ let parity_suite =
   ]
 
 let suite = suite @ parity_suite
+
+(* --- Sim-local bit walks ------------------------------------------------ *)
+
+module Bitset = Wsn_conflict.Bitset
+
+let visits iter =
+  let acc = ref [] in
+  iter (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+(* Capacities up to 200 span four 63-bit words, so members land on both
+   sides of each word boundary and on bit 62, the sign bit of a word. *)
+let random_set rng n =
+  let s = Bitset.create n in
+  let density = Pcg32.next_below rng 4 in
+  for i = 0 to n - 1 do
+    if Pcg32.next_below rng 4 < density then Bitset.add s i
+  done;
+  s
+
+let qcheck_walks_match_bitset =
+  QCheck.Test.make ~name:"Sim walks visit Bitset.iter/iter_union's members in order" ~count:500
+    (QCheck.int_bound 1_000_000) (fun case ->
+      let rng = Pcg32.create (Int64.of_int case) in
+      let n = 1 + Pcg32.next_below rng 200 in
+      let a = random_set rng n and b = random_set rng n in
+      visits (fun f -> Sim.walk f a) = visits (fun f -> Bitset.iter f a)
+      && visits (fun f -> Sim.walk_union f a b) = visits (fun f -> Bitset.iter_union f a b))
+
+let test_walks_word_boundaries () =
+  let edges = [ 0; 1; 61; 62; 63; 64; 125; 126; 127; 188; 189 ] in
+  let a = Bitset.of_list 190 edges and b = Bitset.of_list 190 [ 2; 62; 63; 100; 189 ] in
+  check (Alcotest.list Alcotest.int) "walk" edges (visits (fun f -> Sim.walk f a));
+  check (Alcotest.list Alcotest.int) "walk_union"
+    (visits (fun f -> Bitset.iter_union f a b))
+    (visits (fun f -> Sim.walk_union f a b))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_walks_match_bitset;
+      Alcotest.test_case "walks across word boundaries" `Quick test_walks_word_boundaries;
+    ]

@@ -100,6 +100,54 @@ let test_empty_schedule_idleness () =
   let topo = three_node_line () in
   check float_tol "empty schedule: fully idle" 1.0 (Idleness.node_idleness topo Schedule.empty 0)
 
+(* --- the node-idleness table ------------------------------------------ *)
+
+module Generator = Wsn_net.Generator
+module Pcg32 = Wsn_prng.Pcg32
+module Metrics = Wsn_routing.Metrics
+module Router = Wsn_routing.Router
+
+(* A random 6-12-node connected topology and a random schedule of 0-5
+   slots over its links.  Shares are drawn up to 0.6 each with no cap on
+   their total, so slots a node hears can overlap past a busy share of
+   one (the clamp path); zero slots is the empty schedule. *)
+let random_table_case seed =
+  let rng = Pcg32.create (Int64.of_int seed) in
+  let n = 6 + Pcg32.next_below rng 7 in
+  let topo =
+    Generator.connected_topology rng
+      { Generator.n_nodes = n; width_m = 300.0; height_m = 300.0; max_placement_attempts = 1000 }
+  in
+  let n_links = Topology.n_links topo in
+  let slot () =
+    let links = List.filter (fun _ -> Pcg32.next_below rng 4 = 0) (List.init n_links Fun.id) in
+    { Schedule.links; rates = List.map (fun _ -> 0) links; share = Pcg32.uniform rng 0.0 0.6 }
+  in
+  (topo, Schedule.make (List.init (Pcg32.next_below rng 6) (fun _ -> slot ())))
+
+(* Every table entry is the very float [node_idleness] returns, and
+   every metric routes every pair on the table exactly as on
+   [link_idleness]. *)
+let table_agrees topo sched =
+  let table = Idleness.node_table topo sched in
+  let n = Topology.n_nodes topo in
+  let pairs = List.concat_map (fun s -> List.init n (fun t -> (s, t))) (List.init n Fun.id) in
+  let same_route metric (source, target) =
+    source = target
+    || Router.find_path topo ~metric ~idleness:(Idleness.table_link_idleness topo table) ~source
+         ~target
+       = Router.find_path topo ~metric ~idleness:(Idleness.link_idleness topo sched) ~source ~target
+  in
+  Array.length table = n
+  && List.for_all (fun v -> Float.equal table.(v) (Idleness.node_idleness topo sched v)) (List.init n Fun.id)
+  && List.for_all (fun metric -> List.for_all (same_route metric) pairs) Metrics.all
+
+let qcheck_node_table =
+  QCheck.Test.make ~name:"node table = node_idleness; routes on it = routes on link_idleness"
+    ~count:200 (QCheck.int_bound 1_000_000) (fun seed ->
+      let topo, sched = random_table_case seed in
+      table_agrees topo sched && table_agrees topo Schedule.empty)
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
@@ -111,5 +159,6 @@ let suite =
     Alcotest.test_case "idleness far node" `Quick test_idleness_far_node_unaffected;
     Alcotest.test_case "idleness caps" `Quick test_idleness_caps_at_one;
     Alcotest.test_case "idleness empty schedule" `Quick test_empty_schedule_idleness;
+    QCheck_alcotest.to_alcotest qcheck_node_table;
   ]
 

@@ -248,6 +248,85 @@ let stdio_transport () =
       check Alcotest.bool "sequential id" true (Json.member "id" v = Some (Json.Num (float_of_int (i + 1)))))
     lines
 
+(* A request line past the 1 MiB cap draws one error, and the reader
+   resyncs at its newline: the ping after it is answered.  The 2 MiB
+   line overflows the pipe buffer, so a domain writes while the server
+   reads. *)
+let stdio_line_cap () =
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let payload = String.make (2 lsl 20) 'x' ^ "\n" ^ {|{"op":"ping"}|} ^ "\n" in
+  let writer =
+    Domain.spawn (fun () ->
+        let rec go off =
+          if off < String.length payload then
+            go (off + Unix.write_substring in_w payload off (String.length payload - off))
+        in
+        go 0;
+        Unix.close in_w)
+  in
+  let session = make_session Session.Warm 7L in
+  Server.run_stdio ~session in_r out_w;
+  Domain.join writer;
+  Unix.close in_r;
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' |> List.filter (( <> ) "") in
+  In_channel.close ic;
+  let field name line = Json.member name (Result.get_ok (Json.parse line)) in
+  match lines with
+  | [ err; pong ] ->
+    check Alcotest.bool "oversized line rejected" true (field "ok" err = Some (Json.Bool false));
+    check Alcotest.bool "error names the cause" true
+      (match Option.bind (field "error" err) Json.to_str with
+       | Some msg -> String.starts_with ~prefix:"line too long" msg
+       | None -> false);
+    check Alcotest.bool "next line answered" true (field "op" pong = Some (Json.Str "pong"))
+  | _ -> Alcotest.failf "expected an error then a pong, got %d lines" (List.length lines)
+
+(* --- the cached idleness table follows the flow set ------------------- *)
+
+(* Two corridors from s = 0 to t = 1: the upper one (2, 3, 4) is faster,
+   the lower one (5, 6, 7) slower, and they sit beyond carrier-sense
+   range (221 m) of each other.  Nodes 8 -> 9 lie above the upper
+   corridor: they hear nodes 2 and 3 but not the lower corridor, and
+   are out of link range of both.  Admitting 9 Mbit/s on 8 -> 9 (half
+   that 18 Mbit/s link's time) makes the lower corridor the cheaper
+   route; releasing it restores the upper one.  A warm session that
+   kept its idleness table past either change would route the next
+   query as before and part from the cold transcript. *)
+let corridor_world () =
+  let pts =
+    [| (0.0, 0.0); (400.0, 0.0); (60.0, 90.0); (200.0, 100.0); (340.0, 90.0); (50.0, -110.0);
+       (200.0, -110.0); (350.0, -110.0); (150.0, 280.0); (250.0, 280.0) |]
+  in
+  let topo = Wsn_net.Topology.create (Array.map (fun (x, y) -> Wsn_net.Point.make x y) pts) in
+  (topo, Model.physical topo)
+
+let warm_table_follows_flow_set () =
+  let topo, model = corridor_world () in
+  let requests =
+    [
+      {|{"op":"query","source":0,"target":1}|};
+      {|{"op":"admit","source":8,"target":9,"demand_mbps":9}|};
+      {|{"op":"query","source":0,"target":1}|};
+      {|{"op":"release","nth":0}|};
+      {|{"op":"query","source":0,"target":1}|};
+    ]
+  in
+  let transcript mode =
+    let s = Session.create ~mode ~topo ~model () in
+    List.mapi (fun i line -> fst (Session.handle_line s ~seq:(i + 1) line)) requests
+  in
+  let warm = transcript Session.Warm and cold = transcript Session.Cold in
+  let field name line = Json.member name (Result.get_ok (Json.parse line)) in
+  let path i = field "path" (List.nth cold i) in
+  check Alcotest.bool "background admitted" true
+    (field "admitted" (List.nth cold 1) = Some (Json.Bool true));
+  check Alcotest.bool "admit moves the route" true (path 0 <> path 2);
+  check Alcotest.bool "release moves it back" true (path 0 = path 4);
+  check (Alcotest.list Alcotest.string) "warm transcript = cold transcript" cold warm
+
 (* --- traces ---------------------------------------------------------- *)
 
 let trace_deterministic () =
@@ -467,6 +546,9 @@ let suite =
     Alcotest.test_case "admission decided on the unrounded optimum" `Quick
       admission_decided_unrounded;
     Alcotest.test_case "stdio transport over pipes" `Quick stdio_transport;
+    Alcotest.test_case "stdio line cap resyncs" `Quick stdio_line_cap;
+    Alcotest.test_case "warm idleness table follows the flow set" `Quick
+      warm_table_follows_flow_set;
     Alcotest.test_case "admission traces deterministic" `Quick trace_deterministic;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_auto_session_equals_exact;
