@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke parallel-smoke bench-parallel bench-mac mac-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke bench-mac mac-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
 
 all:
 	dune build
@@ -21,24 +21,24 @@ check:
 	dune runtest
 	$(MAKE) sweep-smoke
 	$(MAKE) serve-smoke
-	$(MAKE) parallel-smoke SMOKE_OUT=$(CHECK_OUT)
 	$(MAKE) mac-smoke SMOKE_OUT=$(CHECK_OUT)
 	$(MAKE) artifacts-check
 
-# The six deterministic artifacts: pure functions of the code (the
+# The seven deterministic artifacts: pure functions of the code (the
 # telemetry baseline at seed 30), committed at the repository root.
-ARTIFACTS = BENCH_master_quick.json BENCH_scale_quick.json BENCH_server_quick.json \
-	BENCH_soak_quick.json BENCH_whatif_quick.json BENCH_telemetry.json
+ARTIFACTS = BENCH_master_quick.json BENCH_perf_quick.json BENCH_scale_quick.json \
+	BENCH_server_quick.json BENCH_soak_quick.json BENCH_whatif_quick.json BENCH_telemetry.json
 
-# $(call gen_artifacts,DIR): regenerate the six artifacts into DIR.
+# $(call gen_artifacts,DIR): regenerate the seven artifacts into DIR.
 define gen_artifacts
 	mkdir -p $(1)
-	dune exec bench/main.exe -- --master-quick --master-out $(1)/BENCH_master_quick.json >/dev/null
-	dune exec bench/main.exe -- --scale-quick --scale-out $(1)/BENCH_scale_quick.json >/dev/null
-	dune exec bench/main.exe -- --serve-quick --serve-out $(1)/BENCH_server_quick.json >/dev/null
-	dune exec bench/main.exe -- --soak-quick --soak-out $(1)/BENCH_soak_quick.json >/dev/null
-	dune exec bench/main.exe -- --whatif-quick --whatif-out $(1)/BENCH_whatif_quick.json >/dev/null
-	dune exec bench/main.exe -- --seed 30 --no-timing --telemetry-out $(1)/BENCH_telemetry.json >/dev/null
+	dune exec bench/main.exe -- master --quick --out $(1)/BENCH_master_quick.json >/dev/null
+	dune exec bench/main.exe -- perf --quick --out $(1)/BENCH_perf_quick.json >/dev/null
+	dune exec bench/main.exe -- scale --quick --out $(1)/BENCH_scale_quick.json >/dev/null
+	dune exec bench/main.exe -- serve --quick --out $(1)/BENCH_server_quick.json >/dev/null
+	dune exec bench/main.exe -- soak --quick --out $(1)/BENCH_soak_quick.json >/dev/null
+	dune exec bench/main.exe -- whatif --quick --out $(1)/BENCH_whatif_quick.json >/dev/null
+	dune exec bench/main.exe -- figures --seed 30 --out $(1)/BENCH_telemetry.json >/dev/null
 endef
 
 # Refresh the committed artifacts in place.
@@ -76,49 +76,32 @@ serve-smoke:
 
 test: check
 
-# Telemetry baseline + timing run. BENCH_telemetry.json is a pure
-# function of SEED; diff it across PRs to demonstrate perf wins.
+# Every paper figure and table, plus the telemetry baseline
+# BENCH_telemetry.json, a pure function of SEED.  Timing lives in
+# benchmark/ (python3 benchmark/run.py).
 SEED ?= 30
 bench:
-	dune exec bench/main.exe -- --seed $(SEED)
+	dune exec bench/main.exe -- figures --seed $(SEED)
 
 # Two-arm perf suite (naive SINR model vs conflict kernel, both on the
 # warm master) on a fixed seed with a reduced workload; finishes in well
-# under 30 s.
+# under 30 s.  Its counter-only artifact is one of the seven that
+# artifacts-check compares.
 bench-quick:
-	dune exec bench/main.exe -- --perf-quick --perf-out BENCH_perf_quick.json
-
-# Sweep-engine throughput: cold -j1 vs cold -j4 vs warm, asserting the
-# three results files are byte-identical and the warm arm is >= 95%
-# cache hits; writes jobs/s and the -j4-over-j1 speedup.
-bench-sweep:
-	dune exec bench/main.exe -- --sweep --sweep-out BENCH_sweep.json
-
-# Domain-pool suite: the two multicore hot paths (enumeration +
-# pricing) and the in-process sweep backend at 1/2/4 domains.
-# Byte-identity across widths and backends is always gated; the >= 2x
-# d4-over-d1 speedup is gated only on machines with >= 4 cores.
-bench-parallel:
-	dune exec bench/main.exe -- --parallel --parallel-out BENCH_parallel.json
-
-# Same suite, reduced workload — the determinism gate in seconds; part
-# of `make check`.
-parallel-smoke:
-	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --parallel-quick --parallel-out $(SMOKE_OUT)/BENCH_parallel_quick.json
+	dune exec bench/main.exe -- perf --quick --out BENCH_perf_quick.json
 
 # MAC-simulator suite: the event-driven fast path vs the retained
 # reference loop on a saturated and a lightly loaded scenario.
 # Byte-identity of the stats is always gated; so are the speedups
 # (>= 1.3x saturated, >= 3x light — idle-skipping's headline case).
 bench-mac:
-	dune exec bench/main.exe -- --mac --mac-out BENCH_mac.json
+	dune exec bench/main.exe -- mac --out BENCH_mac.json
 
 # Same suite with reduced horizons — the identity gate in seconds; part
 # of `make check`.
 mac-smoke:
 	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --mac-quick --mac-out $(SMOKE_OUT)/BENCH_mac_quick.json
+	dune exec bench/main.exe -- mac --quick --out $(SMOKE_OUT)/BENCH_mac_quick.json
 
 # Admission-server suite: one Poisson admit/release/query trace through
 # a warm session and the cold reference.  Byte identity of the response
@@ -126,24 +109,24 @@ mac-smoke:
 # full (timed) run.  The quick artifact blanks timings and is a pure
 # function of the seed.
 bench-serve:
-	dune exec bench/main.exe -- --serve-quick --serve-out BENCH_server_quick.json
+	dune exec bench/main.exe -- serve --quick --out BENCH_server_quick.json
 
 bench-serve-full:
-	dune exec bench/main.exe -- --serve --serve-out BENCH_server.json
+	dune exec bench/main.exe -- serve --out BENCH_server.json
 
 # Scale suite: the Eq. 6 availability bracket (heuristic column pricing
 # vs the hard-conflict clique upper bound) at 30/100/300/1000 nodes.
 # Gated: auto-vs-exact wire identity at n=30, bracket soundness on
 # every row, and (full mode) the 300-node query under 60 s.
 bench-scale:
-	dune exec bench/main.exe -- --scale --scale-out BENCH_scale.json
+	dune exec bench/main.exe -- scale --out BENCH_scale.json
 
 # Same suite up to 300 nodes with timings blanked — the identity and
 # soundness gates in seconds, byte-deterministic artifact; `make
 # check` runs it through artifacts-check.
 scale-smoke:
 	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --scale-quick --scale-out $(SMOKE_OUT)/BENCH_scale_quick.json
+	dune exec bench/main.exe -- scale --quick --out $(SMOKE_OUT)/BENCH_scale_quick.json
 
 # Soak suite: a seeded 24 h dynamic scenario (flow churn, diurnal load,
 # node join/leave, waypoint drift) replayed under incremental
@@ -152,14 +135,14 @@ scale-smoke:
 # and (full mode) >= 2x prepare speedup over the churn epochs of the
 # 300-node upkeep profile.
 bench-soak:
-	dune exec bench/main.exe -- --soak --soak-out BENCH_soak.json
+	dune exec bench/main.exe -- soak --out BENCH_soak.json
 
 # Same suite on a short horizon with timings blanked — the identity
 # gates in seconds, byte-deterministic artifact; `make check` runs it
 # through artifacts-check.
 soak-smoke:
 	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --soak-quick --soak-out $(SMOKE_OUT)/BENCH_soak_quick.json
+	dune exec bench/main.exe -- soak --quick --out $(SMOKE_OUT)/BENCH_soak_quick.json
 
 # Master-LP suite: the stabilised column-generation master (Devex
 # pricing, dual stabilisation, degenerate-pivot perturbation) vs the
@@ -168,36 +151,36 @@ soak-smoke:
 # >= 2x resolve-time wins on the 1000-node light-load row only in the
 # full (timed) run.
 bench-master:
-	dune exec bench/main.exe -- --master --master-out BENCH_master.json
+	dune exec bench/main.exe -- master --out BENCH_master.json
 
 # Same suite at 300 nodes with timings blanked — the wire-identity gate
 # in seconds, byte-deterministic artifact; `make check` runs it
 # through artifacts-check.
 master-smoke:
 	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --master-quick --master-out $(SMOKE_OUT)/BENCH_master_quick.json
+	dune exec bench/main.exe -- master --quick --out $(SMOKE_OUT)/BENCH_master_quick.json
 
 # Whatif suite: demand-scaling what-if queries answered from the warm
 # master's cached optimal basis vs fresh certified re-solves.  Wire
 # identity of every in-range prediction is always gated; the >= 5x
 # predict-over-resolve speedup only in the full (timed) run.
 bench-whatif:
-	dune exec bench/main.exe -- --whatif --whatif-out BENCH_whatif.json
+	dune exec bench/main.exe -- whatif --out BENCH_whatif.json
 
 # Same suite on fewer factors with timings blanked — the in-range
 # identity gate in seconds, byte-deterministic artifact; `make check`
 # runs it through artifacts-check.
 whatif-smoke:
 	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- --whatif-quick --whatif-out $(SMOKE_OUT)/BENCH_whatif_quick.json
+	dune exec bench/main.exe -- whatif --quick --out $(SMOKE_OUT)/BENCH_whatif_quick.json
 
 # Perf regression gate: tier-1 must pass, and the fast arm's counters on
 # the quick workload must stay within 10% of the committed baseline
-# (refresh with: dune exec bench/main.exe -- --perf-quick
+# (refresh with: dune exec bench/main.exe -- perf --quick
 #  --write-perf-baseline bench/perf_baseline.txt).
 perfcheck: check
 	mkdir -p $(CHECK_OUT)
-	dune exec bench/main.exe -- --perf-quick --perf-out $(CHECK_OUT)/BENCH_perf_quick.json --check-perf bench/perf_baseline.txt
+	dune exec bench/main.exe -- perf --quick --out $(CHECK_OUT)/BENCH_perf_quick.json --check-perf bench/perf_baseline.txt
 
 # Everything compiles, including examples and benches.
 smoke:

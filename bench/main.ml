@@ -1,11 +1,11 @@
-(* Benchmark harness: regenerates every table/figure of the paper and
-   times each experiment plus the pipeline's core stages (Bechamel). *)
-
-open Bechamel
-open Toolkit
+(* Artifact generator: regenerates every table/figure of the paper and
+   runs the gated suites behind the BENCH_*.json artifacts.  One suite
+   per run, chosen by name from [suites] at the bottom; each returns its
+   failed gates.  Timing lives in benchmark/ (python3 benchmark/run.py). *)
 
 module S2 = Wsn_workload.Scenarios.Scenario_ii
 module RS = Wsn_workload.Scenarios.Random_scenario
+module Registry = Wsn_telemetry.Registry
 
 (* --- figure regeneration ------------------------------------------- *)
 
@@ -53,113 +53,52 @@ let regenerate ~seed () =
     (fun (name, err) -> Printf.printf "%-18s %.3f\n" name err)
     (Wsn_experiments.Fig4.sweep_seeds ~seeds)
 
-(* --- timed benchmarks: one per experiment, plus core stages --------- *)
-
-let experiment_tests =
-  [
-    Test.make ~name:"E1/scenario1-sweep"
-      (Staged.stage (fun () -> Wsn_experiments.Scenario1.rows ()));
-    Test.make ~name:"E2/scenario2-full"
-      (Staged.stage (fun () -> Wsn_experiments.Scenario2.compute ()));
-    Test.make ~name:"E3/fig3-admission"
-      (Staged.stage (fun () -> Wsn_experiments.Fig3.compute ()));
-    Test.make ~name:"E4/fig4-estimators"
-      (Staged.stage (fun () -> Wsn_experiments.Fig4.compute ()));
-    Test.make ~name:"E5/hypothesis-sweep"
-      (Staged.stage (fun () -> Wsn_experiments.Hypothesis.run ~instances:20 ~seed:11L ()));
-    Test.make ~name:"E6/mac-validation"
-      (Staged.stage (fun () -> Wsn_experiments.Mac_validation.compute ~duration_us:200_000 ()));
-    Test.make ~name:"E7/routing-strategies"
-      (Staged.stage (fun () -> Wsn_experiments.Routing_strategies.compute ()));
-    Test.make ~name:"E10/quantisation"
-      (Staged.stage (fun () -> Wsn_experiments.Ablations.Quantisation.run ()));
-    Test.make ~name:"E11/dominance-filter"
-      (Staged.stage (fun () -> Wsn_experiments.Ablations.Dominance.run ()));
-    Test.make ~name:"E12/joint-gap"
-      (Staged.stage (fun () -> Wsn_experiments.Joint_gap.compute ~k:4 ()));
-    Test.make ~name:"E13/protocol-gap"
-      (Staged.stage (fun () -> Wsn_experiments.Protocol_gap.run ~instances:5 ~seed:5L ()));
-    Test.make ~name:"stagecg/column-generation-chain12"
-      (Staged.stage (fun () ->
-           let topo = Wsn_net.Builders.chain ~spacing_m:55.0 12 in
-           let model = Wsn_conflict.Model.physical topo in
-           Wsn_availbw.Column_gen.available model ~background:[]
-             ~path:(Wsn_net.Builders.chain_hop_links topo)));
-  ]
-
-let stage_tests ~seed =
-  let scenario = RS.generate ~seed () in
-  let topo = scenario.RS.topology in
-  let model = scenario.RS.model in
-  let run =
-    Wsn_routing.Admission.run topo model ~metric:Wsn_routing.Metrics.Average_e2e_delay
-      ~flows:scenario.RS.flows
+(* Regeneration runs with telemetry enabled and writes the counters to
+   [out] (BENCH_telemetry.json), so the baseline is a pure function of
+   the seed.  There is no reduced workload: [quick] is ignored. *)
+let figures ~seed ~quick:_ ~out =
+  Registry.set_enabled true;
+  regenerate ~seed ();
+  let snap = Registry.snapshot () in
+  (* The baseline must diff clean run-to-run: keep span *counts* (a
+     pure function of the seed) but blank the wall-clock stats, which
+     encode as null. *)
+  let deterministic =
+    {
+      snap with
+      Registry.spans =
+        List.map
+          (fun (name, d) ->
+            ( name,
+              {
+                d with
+                Registry.sum = nan;
+                min_v = nan;
+                max_v = nan;
+                p50 = nan;
+                p90 = nan;
+                p99 = nan;
+              } ))
+          snap.Registry.spans;
+    }
   in
-  let background = Wsn_routing.Admission.admitted_flows run in
-  let universe = Wsn_availbw.Flow.union_links background in
-  let some_path =
-    match background with
-    | f :: _ -> Wsn_availbw.Flow.links f
-    | [] -> failwith "bench: no admitted background"
-  in
-  [
-    Test.make ~name:"stage/independent-set-columns"
-      (Staged.stage (fun () -> Wsn_conflict.Independent.columns model ~universe));
-    Test.make ~name:"stage/eq6-lp-available"
-      (Staged.stage (fun () ->
-           Wsn_availbw.Path_bandwidth.available model ~background ~path:some_path));
-    Test.make ~name:"stage/chain-eq6-lp"
-      (Staged.stage (fun () -> Wsn_availbw.Path_bandwidth.path_capacity S2.model ~path:S2.path));
-    Test.make ~name:"stage/chain-eq9-upper"
-      (Staged.stage (fun () -> Wsn_availbw.Bounds.upper_eq9 S2.model ~background:[] ~path:S2.path));
-    Test.make ~name:"stage/rate-coupled-cliques"
-      (Staged.stage (fun () ->
-           Wsn_conflict.Clique.maximal_rate_coupled_cliques S2.model ~universe:S2.path));
-    Test.make ~name:"stage/dijkstra-route"
-      (Staged.stage (fun () ->
-           Wsn_routing.Router.find_path topo ~metric:Wsn_routing.Metrics.E2e_transmission_delay
-             ~idleness:(fun _ -> 1.0) ~source:0 ~target:29));
-    Test.make ~name:"stage/mac-sim-100ms"
-      (Staged.stage (fun () ->
-           Wsn_mac.Sim.run topo
-             ~flows:
-               (List.map
-                  (fun f ->
-                    { Wsn_mac.Sim.links = Wsn_availbw.Flow.links f;
-                      demand_mbps = f.Wsn_availbw.Flow.demand_mbps })
-                  background)
-             ~duration_us:100_000));
-  ]
+  Wsn_telemetry.Export.write_file out deterministic;
+  Printf.printf "wrote telemetry baseline to %s (seed %Ld)\n" out seed;
+  Registry.set_enabled false;
+  []
 
-let benchmark ~seed () =
-  print_endline "==========================================================";
-  print_endline " Timing (Bechamel, OLS estimate per run)";
-  print_endline "==========================================================";
-  let tests = Test.make_grouped ~name:"wsn" (experiment_tests @ stage_tests ~seed) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let estimate =
-          match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> nan
-        in
-        (name, estimate) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e9 then Printf.printf "%-38s %10.2f s/run\n" name (ns /. 1e9)
-      else if ns >= 1e6 then Printf.printf "%-38s %10.2f ms/run\n" name (ns /. 1e6)
-      else if ns >= 1e3 then Printf.printf "%-38s %10.2f us/run\n" name (ns /. 1e3)
-      else Printf.printf "%-38s %10.2f ns/run\n" name ns)
-    (List.sort compare rows)
+(* A suite's failed gates: the message of every [(passed, message)]
+   pair that did not pass. *)
+let failures gates = List.filter_map (fun (ok, msg) -> if ok then None else Some msg) gates
+
+(* Writes [text] to [path] and returns [path]: the failure dumps a
+   mismatched identity gate leaves beside its artifact. *)
+let dump path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  path
 
 (* --- perf suite: naive-model reference vs conflict-kernel fast path -- *)
 
-module Registry = Wsn_telemetry.Registry
 module Admission = Wsn_routing.Admission
 module Metrics = Wsn_routing.Metrics
 module Model = Wsn_conflict.Model
@@ -239,55 +178,33 @@ let perf_pipeline ~seed ~n_flows ~metrics ~kernel () =
          cols));
   Buffer.contents buf
 
-type arm = {
-  artifact : string;
-  wall_s : float;
-  counters : (string * int) list;
-  spans : (string * float) list;  (* name, summed seconds *)
-}
+type arm = { artifact : string; counters : (string * int) list }
 
 let run_arm ~seed ~n_flows ~metrics ~kernel () =
   Registry.reset ();
   Registry.set_enabled true;
-  let t0 = Unix.gettimeofday () in
   let artifact = perf_pipeline ~seed ~n_flows ~metrics ~kernel () in
-  let wall_s = Unix.gettimeofday () -. t0 in
   let snap = Registry.snapshot () in
   Registry.set_enabled false;
   Registry.reset ();
-  {
-    artifact;
-    wall_s;
-    counters = snap.Registry.counters;
-    spans = List.map (fun (n, d) -> (n, d.Registry.sum)) snap.Registry.spans;
-  }
+  { artifact; counters = snap.Registry.counters }
 
 let counter_of arm name = match List.assoc_opt name arm.counters with Some v -> v | None -> 0
-
-let span_of arm name = match List.assoc_opt name arm.spans with Some v -> v | None -> 0.0
 
 (* Raw SINR work per arm: the naive model burns [phy.sinr_evals]; the
    kernel replaces them with (far fewer) [kernel.rate_evals] on
    precomputed power sums. *)
 let sinr_work arm = counter_of arm "phy.sinr_evals" + counter_of arm "kernel.rate_evals"
 
-let perf_spans = [ "colgen.available"; "pathbw.solve"; "independent.columns" ]
-
 let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
+(* Every field is a counter, so the artifact is a pure function of the
+   seed. *)
 let write_perf_json ~path ~seed ~quick ~naive ~fast ~identical =
   let buf = Buffer.create 4096 in
   let arm_json a =
-    let counters =
-      String.concat ","
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" n v) a.counters)
-    in
-    let spans =
-      String.concat ","
-        (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%s" n (json_float v)) a.spans)
-    in
-    Printf.sprintf "{\"wall_s\":%s,\"counters\":{%s},\"spans\":{%s}}" (json_float a.wall_s)
-      counters spans
+    Printf.sprintf "{\"counters\":{%s}}"
+      (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" n v) a.counters))
   in
   let ratio num den = if den > 0.0 then json_float (num /. den) else "null" in
   Printf.bprintf buf "{\n  \"seed\": %Ld,\n  \"quick\": %b,\n" seed quick;
@@ -295,18 +212,12 @@ let write_perf_json ~path ~seed ~quick ~naive ~fast ~identical =
   Printf.bprintf buf "  \"sinr_evals\": {\"naive\": %d, \"fast\": %d, \"ratio\": %s},\n"
     (sinr_work naive) (sinr_work fast)
     (ratio (float_of_int (sinr_work naive)) (float_of_int (sinr_work fast)));
-  Printf.bprintf buf "  \"span_speedup\": {%s},\n"
-    (String.concat ", "
-       (List.map
-          (fun s -> Printf.sprintf "\"%s\": %s" s (ratio (span_of naive s) (span_of fast s)))
-          perf_spans));
-  Printf.bprintf buf "  \"wall_speedup\": %s,\n" (ratio naive.wall_s fast.wall_s);
   Printf.bprintf buf "  \"naive\": %s,\n  \"fast\": %s\n}\n" (arm_json naive) (arm_json fast);
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc
 
-let perf ~seed ~quick ~out ~baseline_out ~check () =
+let perf ~seed ~quick ~out ~baseline_out ~check =
   let n_flows = if quick then 4 else 8 in
   let metrics =
     if quick then [ Metrics.Average_e2e_delay ]
@@ -318,18 +229,13 @@ let perf ~seed ~quick ~out ~baseline_out ~check () =
      (both under the warm master) print byte-identical outputs — the
      kernel is behaviourally invisible. *)
   let naive = run_arm ~seed ~n_flows ~metrics ~kernel:false () in
-  Printf.printf "  naive:  %.2fs, %d raw SINR evals\n%!" naive.wall_s (sinr_work naive);
+  Printf.printf "  naive:  %d raw SINR evals\n%!" (sinr_work naive);
   let fast = run_arm ~seed ~n_flows ~metrics ~kernel:true () in
-  Printf.printf "  kernel: %.2fs, %d rate evals\n%!" fast.wall_s (sinr_work fast);
+  Printf.printf "  kernel: %d rate evals\n%!" (sinr_work fast);
   let identical = String.equal naive.artifact fast.artifact in
   Printf.printf "  outputs identical (kernel vs naive): %b\n" identical;
   Printf.printf "  SINR-eval ratio: %.1fx fewer\n"
     (float_of_int (sinr_work naive) /. float_of_int (max 1 (sinr_work fast)));
-  List.iter
-    (fun s ->
-      let n = span_of naive s and f = span_of fast s in
-      if f > 0.0 then Printf.printf "  span %-22s %.3fs -> %.3fs (%.1fx)\n" s n f (n /. f))
-    perf_spans;
   write_perf_json ~path:out ~seed ~quick ~naive ~fast ~identical;
   Printf.printf "wrote %s\n" out;
   (match baseline_out with
@@ -339,248 +245,36 @@ let perf ~seed ~quick ~out ~baseline_out ~check () =
      List.iter (fun (n, v) -> Printf.fprintf oc "%s %d\n" n v) fast.counters;
      close_out oc;
      Printf.printf "wrote counter baseline to %s\n" path);
-  let failed = ref false in
-  if not identical then begin
-    let dump suffix a =
-      let path = out ^ suffix in
-      let oc = open_out path in
-      output_string oc a.artifact;
-      close_out oc;
-      path
-    in
-    Printf.eprintf "PERF FAIL: kernel outputs differ from the naive reference (diff %s %s)\n"
-      (dump ".naive.txt" naive) (dump ".fast.txt" fast);
-    failed := true
-  end;
-  (match check with
-   | None -> ()
-   | Some path ->
-     (* Committed-counter regression gate: every baseline counter may
-        grow by at most 10% (plus a slack of 5 for tiny counts). *)
-     let ic = open_in path in
-     (try
-        while true do
-          let line = input_line ic in
-          match String.split_on_char ' ' (String.trim line) with
-          | [ name; v ] when v <> "" ->
-            let base = int_of_string v in
-            let cur = counter_of fast name in
-            let limit = int_of_float (ceil (1.10 *. float_of_int base)) + 5 in
-            if cur > limit then begin
-              Printf.eprintf "PERF FAIL: counter %s regressed: %d > %d (baseline %d +10%%)\n" name
-                cur limit base;
-              failed := true
-            end
-          | _ -> ()
-        done
-      with End_of_file -> close_in ic));
-  if !failed then exit 1
-
-(* --- sweep suite: the Wsn_engine pool on the Fig. 3 grid ------------ *)
-
-module Engine = Wsn_engine
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-(* Three sweep runs of one grid: -j1 cold, -j4 cold (speedup and
-   byte-determinism claims) and -j4 warm over the -j4 cache (cache-hit
-   claim).  Writes BENCH_sweep.json; exits 1 when the cold outputs
-   diverge or the warm run misses the cache. *)
-let sweep_bench ~quick ~out () =
-  let n_seeds = if quick then 3 else 6 in
-  let n_flows = if quick then 3 else 8 in
-  let seeds = List.init n_seeds (fun i -> Int64.of_int (i + 1)) in
-  let specs =
-    Engine.Grid.specs ~kind:"fig3" ~seeds
-      ~metrics:(List.map Wsn_routing.Metrics.name Wsn_routing.Metrics.all)
-      ~n_flows ~demand_mbps:2.0
+  let identity =
+    if identical then []
+    else
+      [
+        Printf.sprintf "kernel outputs differ from the naive reference (diff %s %s)"
+          (dump (out ^ ".naive.txt") naive.artifact)
+          (dump (out ^ ".fast.txt") fast.artifact);
+      ]
   in
-  let jobs = List.length specs in
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wsn-sweep-bench-%d" (Unix.getpid ()))
+  (* Committed-counter regression gate: every baseline counter may grow
+     by at most 10% (plus a slack of 5 for tiny counts). *)
+  let regressed =
+    match check with
+    | None -> []
+    | Some path ->
+      In_channel.with_open_text path In_channel.input_lines
+      |> List.filter_map (fun line ->
+             match String.split_on_char ' ' (String.trim line) with
+             | [ name; v ] when v <> "" ->
+               let base = int_of_string v in
+               let cur = counter_of fast name in
+               let limit = int_of_float (ceil (1.10 *. float_of_int base)) + 5 in
+               if cur > limit then
+                 Some
+                   (Printf.sprintf "counter %s regressed: %d > %d (baseline %d +10%%)" name cur
+                      limit base)
+               else None
+             | _ -> None)
   in
-  rm_rf tmp;
-  let arm ~workers ~cache_sub ~results_file =
-    let cfg =
-      {
-        Engine.Sweep.default with
-        Engine.Sweep.workers;
-        retries = 0;
-        cache_dir = Some (Filename.concat tmp cache_sub);
-        out = Some (Filename.concat tmp results_file);
-      }
-    in
-    Engine.Sweep.run cfg ~runner:Wsn_experiments.Sweep_jobs.runner specs
-  in
-  Printf.printf "sweep suite: %d jobs (%d seeds x 3 metrics, %d flows)\n%!" jobs n_seeds n_flows;
-  let _, s1 = arm ~workers:1 ~cache_sub:"c1" ~results_file:"r1.jsonl" in
-  Printf.printf "  -j1 cold: %.2fs (%.1f jobs/s)\n%!" s1.Engine.Sweep.wall_s
-    (float_of_int jobs /. s1.Engine.Sweep.wall_s);
-  let _, s4 = arm ~workers:4 ~cache_sub:"c4" ~results_file:"r4.jsonl" in
-  Printf.printf "  -j4 cold: %.2fs (%.1f jobs/s)\n%!" s4.Engine.Sweep.wall_s
-    (float_of_int jobs /. s4.Engine.Sweep.wall_s);
-  let _, sw = arm ~workers:4 ~cache_sub:"c4" ~results_file:"rw.jsonl" in
-  let read f = In_channel.with_open_bin (Filename.concat tmp f) In_channel.input_all in
-  let identical = String.equal (read "r1.jsonl") (read "r4.jsonl") && String.equal (read "r1.jsonl") (read "rw.jsonl") in
-  let hit_rate = float_of_int sw.Engine.Sweep.cached /. float_of_int (max 1 sw.Engine.Sweep.total) in
-  let speedup = s1.Engine.Sweep.wall_s /. Float.max 1e-9 s4.Engine.Sweep.wall_s in
-  Printf.printf "  -j4 warm: %.2fs, cache hits %d/%d\n" sw.Engine.Sweep.wall_s
-    sw.Engine.Sweep.cached sw.Engine.Sweep.total;
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  outputs identical (-j1/-j4/warm): %b\n" identical;
-  Printf.printf "  -j4 over -j1 speedup: %.2fx (on %d core%s)\n" speedup cores
-    (if cores = 1 then "" else "s");
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"jobs\": %d,\n  \"cores\": %d,\n  \"outputs_identical\": %b,\n  \"wall_j1_s\": %.6f,\n  \"wall_j4_s\": %.6f,\n\
-    \  \"jobs_per_s_j1\": %.3f,\n  \"jobs_per_s_j4\": %.3f,\n  \"speedup_j4_over_j1\": %.3f,\n\
-    \  \"warm_wall_s\": %.6f,\n  \"warm_cache_hit_rate\": %.4f\n}\n"
-    jobs cores identical s1.Engine.Sweep.wall_s s4.Engine.Sweep.wall_s
-    (float_of_int jobs /. Float.max 1e-9 s1.Engine.Sweep.wall_s)
-    (float_of_int jobs /. Float.max 1e-9 s4.Engine.Sweep.wall_s)
-    speedup sw.Engine.Sweep.wall_s hit_rate;
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  rm_rf tmp;
-  if not identical then begin
-    Printf.eprintf "SWEEP FAIL: -j1, -j4 and warm results are not byte-identical\n";
-    exit 1
-  end;
-  if hit_rate < 0.95 then begin
-    Printf.eprintf "SWEEP FAIL: warm cache-hit rate %.2f < 0.95\n" hit_rate;
-    exit 1
-  end
-
-(* --- parallel suite: domain-pool speedup and determinism ------------ *)
-
-(* Two claims, three domain counts each.  Pipeline: one admission pass
-   plus a warm column-generation and a full enumeration — the two
-   multicore hot paths — at 1/2/4 domains on the shared global pool;
-   the printed artifact must be byte-identical at every width (the
-   pool's fan-in is ordered, so parallelism is behaviourally
-   invisible).  Sweep: the same Fig. 3 grid under the in-process
-   Domains backend at 1/2/4 domains, against a forked -j1 reference;
-   all four result files must match byte for byte.  Identity is gated
-   unconditionally; the >= 2x speedup claim is only gated when the
-   machine actually has >= 4 cores (a 1-core container can prove
-   determinism but not speedup). *)
-let parallel_bench ~quick ~out () =
-  let seed = 30L in
-  let n_flows = if quick then 4 else 8 in
-  let metrics = [ Metrics.Average_e2e_delay ] in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "parallel suite: seed %Ld, %d flows, %s mode, %d core%s available\n%!" seed
-    n_flows
-    (if quick then "quick" else "full")
-    cores
-    (if cores = 1 then "" else "s");
-  let n_seeds = if quick then 3 else 6 in
-  let sweep_flows = if quick then 3 else 8 in
-  let specs =
-    Engine.Grid.specs ~kind:"fig3"
-      ~seeds:(List.init n_seeds (fun i -> Int64.of_int (i + 1)))
-      ~metrics:(List.map Wsn_routing.Metrics.name Wsn_routing.Metrics.all)
-      ~n_flows:sweep_flows ~demand_mbps:2.0
-  in
-  let jobs = List.length specs in
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wsn-parallel-bench-%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  (* No cache: every arm must pay full compute, or the speedup
-     comparison is meaningless. *)
-  let sweep_arm ~label ~backend ~workers ~file =
-    let cfg =
-      {
-        Engine.Sweep.default with
-        Engine.Sweep.backend;
-        workers;
-        retries = 0;
-        cache_dir = None;
-        out = Some (Filename.concat tmp file);
-      }
-    in
-    let _, s = Engine.Sweep.run cfg ~runner:Wsn_experiments.Sweep_jobs.runner specs in
-    Printf.printf "  sweep %-12s %.2fs (%.1f jobs/s)\n%!" label s.Engine.Sweep.wall_s
-      (float_of_int jobs /. Float.max 1e-9 s.Engine.Sweep.wall_s);
-    s.Engine.Sweep.wall_s
-  in
-  Printf.printf "  sweep grid: %d jobs (%d seeds x 3 metrics, %d flows)\n%!" jobs n_seeds
-    sweep_flows;
-  (* The forked reference arm must run before anything spawns a
-     domain: OCaml 5 forbids [Unix.fork] for the rest of the process
-     once any domain has ever been created, even after it is joined. *)
-  let wf = sweep_arm ~label:"fork -j1:" ~backend:Engine.Pool.Fork ~workers:1 ~file:"rf.jsonl" in
-  (* [perf_pipeline] builds a fresh model (fresh conflict kernel) per
-     call, so no arm warms another's memo pool. *)
-  let pipeline_arm domains =
-    Wsn_parallel.Pool.set_domains domains;
-    let t0 = Unix.gettimeofday () in
-    let artifact = perf_pipeline ~seed ~n_flows ~metrics ~kernel:true () in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf "  pipeline d=%d: %.2fs\n%!" domains wall;
-    (artifact, wall)
-  in
-  let p1, pw1 = pipeline_arm 1 in
-  let p2, pw2 = pipeline_arm 2 in
-  let p4, pw4 = pipeline_arm 4 in
-  Wsn_parallel.Pool.set_domains 1;
-  let pipeline_identical = String.equal p1 p2 && String.equal p1 p4 in
-  let pipeline_speedup = pw1 /. Float.max 1e-9 pw4 in
-  let w1 = sweep_arm ~label:"domains d1:" ~backend:Engine.Pool.Domains ~workers:1 ~file:"r1.jsonl" in
-  let w2 = sweep_arm ~label:"domains d2:" ~backend:Engine.Pool.Domains ~workers:2 ~file:"r2.jsonl" in
-  let w4 = sweep_arm ~label:"domains d4:" ~backend:Engine.Pool.Domains ~workers:4 ~file:"r4.jsonl" in
-  let read f = In_channel.with_open_bin (Filename.concat tmp f) In_channel.input_all in
-  let rf = read "rf.jsonl" in
-  let sweep_identical =
-    String.equal rf (read "r1.jsonl") && String.equal rf (read "r2.jsonl")
-    && String.equal rf (read "r4.jsonl")
-  in
-  let sweep_speedup = w1 /. Float.max 1e-9 w4 in
-  rm_rf tmp;
-  let gate_speedup = cores >= 4 in
-  Printf.printf "  pipeline outputs identical (d1/d2/d4): %b\n" pipeline_identical;
-  Printf.printf "  pipeline d4 over d1 speedup: %.2fx\n" pipeline_speedup;
-  Printf.printf "  sweep outputs identical (fork/d1/d2/d4): %b\n" sweep_identical;
-  Printf.printf "  sweep d4 over d1 speedup: %.2fx (gated: %b, %d core%s)\n" sweep_speedup
-    gate_speedup cores
-    (if cores = 1 then "" else "s");
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"quick\": %b,\n  \"speedup_gated\": %b,\n\
-    \  \"pipeline\": {\"wall_d1_s\": %.6f, \"wall_d2_s\": %.6f, \"wall_d4_s\": %.6f,\n\
-    \    \"outputs_identical\": %b, \"speedup_d4_over_d1\": %.3f},\n\
-    \  \"sweep\": {\"jobs\": %d, \"wall_fork_j1_s\": %.6f, \"wall_d1_s\": %.6f,\n\
-    \    \"wall_d2_s\": %.6f, \"wall_d4_s\": %.6f,\n\
-    \    \"outputs_identical\": %b, \"speedup_d4_over_d1\": %.3f}\n}\n"
-    cores quick gate_speedup pw1 pw2 pw4 pipeline_identical pipeline_speedup jobs wf w1 w2 w4
-    sweep_identical sweep_speedup;
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not pipeline_identical then begin
-    Printf.eprintf "PARALLEL FAIL: pipeline outputs differ across domain counts\n";
-    failed := true
-  end;
-  if not sweep_identical then begin
-    Printf.eprintf "PARALLEL FAIL: sweep results differ across backends/domain counts\n";
-    failed := true
-  end;
-  if gate_speedup && sweep_speedup < 2.0 then begin
-    Printf.eprintf "PARALLEL FAIL: sweep d4 speedup %.2fx < 2.0x on %d cores\n" sweep_speedup
-      cores;
-    failed := true
-  end;
-  if !failed then exit 1
+  identity @ regressed
 
 (* --- mac suite: event-driven fast path vs reference slot loop -------- *)
 
@@ -631,7 +325,7 @@ let mac_scenario_light () =
   let flows = [ { Sim.links = Wsn_net.Builders.chain_hop_links topo; demand_mbps = 0.5 } ] in
   (topo, flows)
 
-let mac_bench ~quick ~out () =
+let mac_bench ~seed:_ ~quick ~out =
   let seeds = [ 1L; 2L; 3L ] in
   Printf.printf "mac suite: %s mode, %d seeds per scenario\n%!"
     (if quick then "quick" else "full")
@@ -686,20 +380,14 @@ let mac_bench ~quick ~out () =
     (scenario_json light);
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  let gate (name, _, _, _, speedup, identical, _, _) ~min_speedup =
-    if not identical then begin
-      Printf.eprintf "MAC FAIL: %s fast-path outputs differ from the reference loop\n" name;
-      failed := true
-    end;
-    if speedup < min_speedup then begin
-      Printf.eprintf "MAC FAIL: %s speedup %.2fx < %.1fx\n" name speedup min_speedup;
-      failed := true
-    end
+  let gates (name, _, _, _, speedup, identical, _, _) ~min_speedup =
+    [
+      (identical, Printf.sprintf "%s fast-path outputs differ from the reference loop" name);
+      ( speedup >= min_speedup,
+        Printf.sprintf "%s speedup %.2fx < %.1fx" name speedup min_speedup );
+    ]
   in
-  gate sat ~min_speedup:1.3;
-  gate light ~min_speedup:3.0;
-  if !failed then exit 1
+  failures (gates sat ~min_speedup:1.3 @ gates light ~min_speedup:3.0)
 
 (* --- admission server suite ---------------------------------------- *)
 
@@ -714,7 +402,7 @@ module Trace = Wsn_workload.Scenarios.Admission_trace
    (slow releases, query-heavy) so the session accumulates enough live
    flows for the universes where enumeration hurts and warm state
    pays. *)
-let serve_bench ~seed ~quick ~out () =
+let serve_bench ~seed ~quick ~out =
   let n_ops = if quick then 120 else 500 in
   let trace = Trace.generate ~n_ops ~arrival_rate:2.0 ~release_rate:0.08 ~query_rate:2.0 ~seed () in
   let lines = Trace.to_request_lines trace in
@@ -793,27 +481,16 @@ let serve_bench ~seed ~quick ~out () =
     (counter "colgen.pool_hits");
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not identical then begin
-    let dump suffix transcript =
-      let file = out ^ suffix in
-      let oc = open_out file in
-      output_string oc transcript;
-      output_char oc '\n';
-      close_out oc;
-      file
-    in
-    let wf = dump ".warm.txt" warm_transcript in
-    let cf = dump ".cold.txt" cold_transcript in
-    Printf.eprintf "SERVE FAIL: warm transcript differs from the cold reference (%s vs %s)\n" wf
-      cf;
-    failed := true
-  end;
-  if (not quick) && speedup < 1.2 then begin
-    Printf.eprintf "SERVE FAIL: warm speedup %.2fx < 1.2x over cold\n" speedup;
-    failed := true
-  end;
-  if !failed then exit 1
+  let identity =
+    if identical then []
+    else
+      let wf = dump (out ^ ".warm.txt") (warm_transcript ^ "\n") in
+      let cf = dump (out ^ ".cold.txt") (cold_transcript ^ "\n") in
+      [ Printf.sprintf "warm transcript differs from the cold reference (%s vs %s)" wf cf ]
+  in
+  identity
+  @ failures
+      [ (quick || speedup >= 1.2, Printf.sprintf "warm speedup %.2fx < 1.2x over cold" speedup) ]
 
 (* --- scale suite: Eq. 6 bracket at 100-1000 nodes ------------------- *)
 
@@ -830,7 +507,7 @@ module Proto = Wsn_admission.Protocol
    seed).  The 1000-node row runs under an anytime iteration cap: its
    lower bound is uncertified by construction, which the artifact
    records rather than hides. *)
-let scale_bench ~seed ~quick ~out () =
+let scale_bench ~seed ~quick ~out =
   (* Each spec is (n_nodes, per-flow demand override).  The default
      0.5 Mbps workload saturates the 1000-node network (its background
      alone needs a ~19x TDMA share — the Gupta-Kumar regime), so the
@@ -907,20 +584,13 @@ let scale_bench ~seed ~quick ~out () =
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not wire_identical then begin
-    Printf.eprintf "SCALE FAIL: auto pricer is not wire-identical to exact at n=30\n";
-    failed := true
-  end;
-  if not bracket_sound then begin
-    Printf.eprintf "SCALE FAIL: a lower bound exceeds its clique upper bound\n";
-    failed := true
-  end;
-  if (not quick) && secs_at 300 >= 60.0 then begin
-    Printf.eprintf "SCALE FAIL: 300-node query took %.1fs (>= 60s)\n" (secs_at 300);
-    failed := true
-  end;
-  if !failed then exit 1
+  failures
+    [
+      (wire_identical, "auto pricer is not wire-identical to exact at n=30");
+      (bracket_sound, "a lower bound exceeds its clique upper bound");
+      ( quick || secs_at 300 < 60.0,
+        Printf.sprintf "300-node query took %.1fs (>= 60s)" (secs_at 300) );
+    ]
 
 (* --- soak suite: dynamic scenarios, incremental kernel upkeep ------- *)
 
@@ -938,7 +608,7 @@ module Dsoak = Wsn_dynamics.Soak
    only, at a size where prepare is measurable), patching is at least
    2x faster than rebuilding (full mode only; quick blanks every
    timing so the artifact is a pure function of the seed). *)
-let soak_bench ~seed ~quick ~out () =
+let soak_bench ~seed ~quick ~out =
   let epochs = if quick then 12 else 48 in
   let horizon_h = if quick then 6.0 else 24.0 in
   let window_us = if quick then 200_000 else 1_000_000 in
@@ -1023,29 +693,16 @@ let soak_bench ~seed ~quick ~out () =
     (w inc_prepare_s) (w speedup);
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not digests_identical then begin
-    Printf.eprintf "SOAK FAIL: incremental kernel digests differ from rebuilds\n";
-    failed := true
-  end;
-  if not outputs_identical then begin
-    Printf.eprintf "SOAK FAIL: incremental rows differ from rebuild rows\n";
-    failed := true
-  end;
-  if not profile_identical then begin
-    Printf.eprintf "SOAK FAIL: profile kernel digests differ from rebuilds (n=%d)\n"
-      profile_n;
-    failed := true
-  end;
-  if tracked = 0 then begin
-    Printf.eprintf "SOAK FAIL: the probe pair was never trackable\n";
-    failed := true
-  end;
-  if (not quick) && speedup < 2.0 then begin
-    Printf.eprintf "SOAK FAIL: churn-epoch prepare speedup %.2fx (< 2x)\n" speedup;
-    failed := true
-  end;
-  if !failed then exit 1
+  failures
+    [
+      (digests_identical, "incremental kernel digests differ from rebuilds");
+      (outputs_identical, "incremental rows differ from rebuild rows");
+      ( profile_identical,
+        Printf.sprintf "profile kernel digests differ from rebuilds (n=%d)" profile_n );
+      (tracked > 0, "the probe pair was never trackable");
+      ( quick || speedup >= 2.0,
+        Printf.sprintf "churn-epoch prepare speedup %.2fx (< 2x)" speedup );
+    ]
 
 (* --- master suite: stabilised column generation vs reference simplex - *)
 
@@ -1061,7 +718,7 @@ let soak_bench ~seed ~quick ~out () =
    resolve wall time.  Quick mode blanks every timing so the artifact
    is a pure function of the seed (pivot, column and [lp.elim_cells]
    counts are deterministic). *)
-let master_bench ~seed ~quick ~out () =
+let master_bench ~seed ~quick ~out =
   let specs = if quick then [ (300, None) ] else [ (300, None); (1000, Some 0.1) ] in
   let cap n = if n >= 1000 then Some 40 else None in
   let demand_of d = match d with Some d -> d | None -> 0.5 (* scenario default *) in
@@ -1176,39 +833,31 @@ let master_bench ~seed ~quick ~out () =
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not wire_identical then begin
-    Printf.eprintf
-      "MASTER FAIL: stabilised arm is not wire-identical to the reference on a \
-       certified row (or no row certified)\n";
-    failed := true
-  end;
-  (if not quick then
-     match
-       List.find_opt (fun ((n, d), _, _) -> n = 1000 && d <> None) rows
-     with
-     | None ->
-         Printf.eprintf "MASTER FAIL: 1000-node light-load row missing from full run\n";
-         failed := true
-     | Some (_, (_, sppc, ss, _, _, _, _), (_, rppc, rs, _, _, _)) ->
-         let ppc_ratio = if sppc > 0.0 then rppc /. sppc else Float.infinity in
-         let time_ratio = if ss > 0.0 then rs /. ss else Float.infinity in
-         Printf.printf
-           "  n=1000 light load: pivots-per-column ratio %.2fx, resolve-time ratio %.2fx\n%!"
-           ppc_ratio time_ratio;
-         if ppc_ratio < 3.0 then begin
-           Printf.eprintf
-             "MASTER FAIL: pivots-per-column only %.2fx better than reference (< 3x)\n"
-             ppc_ratio;
-           failed := true
-         end;
-         if time_ratio < 2.0 then begin
-           Printf.eprintf
-             "MASTER FAIL: resolve wall time only %.2fx better than reference (< 2x)\n"
-             time_ratio;
-           failed := true
-         end);
-  if !failed then exit 1
+  let light_row =
+    if quick then []
+    else
+      match List.find_opt (fun ((n, d), _, _) -> n = 1000 && d <> None) rows with
+      | None -> [ (false, "1000-node light-load row missing from full run") ]
+      | Some (_, (_, sppc, ss, _, _, _, _), (_, rppc, rs, _, _, _)) ->
+          let ppc_ratio = if sppc > 0.0 then rppc /. sppc else Float.infinity in
+          let time_ratio = if ss > 0.0 then rs /. ss else Float.infinity in
+          Printf.printf
+            "  n=1000 light load: pivots-per-column ratio %.2fx, resolve-time ratio %.2fx\n%!"
+            ppc_ratio time_ratio;
+          [
+            ( ppc_ratio >= 3.0,
+              Printf.sprintf "pivots-per-column only %.2fx better than reference (< 3x)"
+                ppc_ratio );
+            ( time_ratio >= 2.0,
+              Printf.sprintf "resolve wall time only %.2fx better than reference (< 2x)"
+                time_ratio );
+          ]
+  in
+  failures
+    (( wire_identical,
+       "stabilised arm is not wire-identical to the reference on a certified row (or no row \
+        certified)" )
+    :: light_row)
 
 (* --- whatif suite: basis-reuse predictions vs re-solving ------------ *)
 
@@ -1224,7 +873,7 @@ module Whatif = Wsn_experiments.Whatif
    rows are reported but not accuracy-gated: there the restricted
    master may lack columns the scaled optimum needs, which is exactly
    why the engine reports its stability range. *)
-let whatif_bench ~seed ~quick ~out () =
+let whatif_bench ~seed ~quick ~out =
   let factors = if quick then [ 0.5; 0.9; 1.1; 1.5 ] else Whatif.default_factors in
   Printf.printf "whatif suite: %s mode, %d factors, seed %Ld\n%!"
     (if quick then "quick" else "full")
@@ -1262,170 +911,120 @@ let whatif_bench ~seed ~quick ~out () =
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" out;
-  let failed = ref false in
-  if not in_range_exact then begin
-    Printf.eprintf
-      "WHATIF FAIL: an in-range prediction is not wire-identical to its re-solve\n";
-    failed := true
-  end;
-  if (not quick) && speedup < 5.0 then begin
-    Printf.eprintf "WHATIF FAIL: prediction only %.1fx faster than re-solving (< 5x)\n"
-      speedup;
-    failed := true
-  end;
-  if !failed then exit 1
-
-(* Regeneration runs with telemetry enabled and the counters are
-   snapshotted to [BENCH_telemetry.json] before the Bechamel timing
-   pass, so the baseline is a pure function of [--seed] (timing
-   iteration counts vary run-to-run and must not pollute it).
-   Telemetry is disabled again for the timing pass: counters cost a
-   branch either way, but the benchmark should measure the shipped
-   configuration. *)
-let () =
-  let seed = ref 30L in
-  let out = ref "BENCH_telemetry.json" in
-  let skip_timing = ref false in
-  let perf_mode = ref false in
-  let perf_quick = ref false in
-  let perf_out = ref "BENCH_perf.json" in
-  let perf_baseline = ref "" in
-  let perf_check = ref "" in
-  let sweep_mode = ref false in
-  let sweep_quick = ref false in
-  let sweep_out = ref "BENCH_sweep.json" in
-  let parallel_mode = ref false in
-  let parallel_quick = ref false in
-  let parallel_out = ref "BENCH_parallel.json" in
-  let mac_mode = ref false in
-  let mac_quick = ref false in
-  let mac_out = ref "BENCH_mac.json" in
-  let serve_mode = ref false in
-  let serve_quick = ref false in
-  let serve_out = ref "BENCH_server.json" in
-  let scale_mode = ref false in
-  let scale_quick = ref false in
-  let scale_out = ref "BENCH_scale.json" in
-  let soak_mode = ref false in
-  let soak_quick = ref false in
-  let soak_out = ref "BENCH_soak.json" in
-  let master_mode = ref false in
-  let master_quick = ref false in
-  let master_out = ref "BENCH_master.json" in
-  let whatif_mode = ref false in
-  let whatif_quick = ref false in
-  let whatif_out = ref "BENCH_whatif.json" in
-  Arg.parse
+  failures
     [
+      (in_range_exact, "an in-range prediction is not wire-identical to its re-solve");
+      ( quick || speedup >= 5.0,
+        Printf.sprintf "prediction only %.1fx faster than re-solving (< 5x)" speedup );
+    ]
+
+(* --- driver: one suite per run ------------------------------------- *)
+
+type suite = {
+  name : string;
+  doc : string;
+  out : string;  (* default artifact path *)
+  run : seed:int64 -> quick:bool -> out:string -> string list;  (* failed gates *)
+}
+
+(* Perf-only counter baseline paths. *)
+let write_baseline = ref None
+let check_baseline = ref None
+
+let suites =
+  [
+    {
+      name = "figures";
+      doc = "(default) every paper figure and table, and the telemetry baseline";
+      out = "BENCH_telemetry.json";
+      run = figures;
+    };
+    {
+      name = "perf";
+      doc = "naive SINR model vs conflict kernel on the warm master";
+      out = "BENCH_perf.json";
+      run =
+        (fun ~seed ~quick ~out ->
+          perf ~seed ~quick ~out ~baseline_out:!write_baseline ~check:!check_baseline);
+    };
+    {
+      name = "mac";
+      doc = "event-driven MAC fast path vs the reference loop, timed gates";
+      out = "BENCH_mac.json";
+      run = mac_bench;
+    };
+    {
+      name = "serve";
+      doc = "admission server, warm session vs cold reference";
+      out = "BENCH_server.json";
+      run = serve_bench;
+    };
+    {
+      name = "scale";
+      doc = "Eq. 6 bracket at 30-1000 nodes under heuristic pricing";
+      out = "BENCH_scale.json";
+      run = scale_bench;
+    };
+    {
+      name = "soak";
+      doc = "dynamic scenario, incremental vs rebuilt kernels";
+      out = "BENCH_soak.json";
+      run = soak_bench;
+    };
+    {
+      name = "master";
+      doc = "stabilised Devex master vs the Dantzig reference";
+      out = "BENCH_master.json";
+      run = master_bench;
+    };
+    {
+      name = "whatif";
+      doc = "basis-reuse predictions vs certified re-solves";
+      out = "BENCH_whatif.json";
+      run = whatif_bench;
+    };
+  ]
+
+let () =
+  let suite = ref None and seed = ref 30L and quick = ref false and out = ref None in
+  let path r = Arg.String (fun s -> r := Some s) in
+  let specs =
+    [
+      ("--quick", Arg.Set quick, " reduced workload; timed fields blanked, except in mac");
       ( "--seed",
         Arg.String
           (fun s ->
             match Int64.of_string_opt s with
             | Some v -> seed := v
             | None -> raise (Arg.Bad (Printf.sprintf "--seed: %S is not an integer" s))),
-        "SEED experiment seed (default 30)" );
-      ("--telemetry-out", Arg.Set_string out, "FILE telemetry snapshot path (default BENCH_telemetry.json)");
-      ("--no-timing", Arg.Set skip_timing, " regenerate figures and telemetry only, skip Bechamel");
-      ("--perf", Arg.Set perf_mode, " run the naive-vs-kernel perf suite instead of the figure pass");
-      ("--perf-quick", Arg.Unit (fun () -> perf_mode := true; perf_quick := true), " perf suite, reduced workload (fixed time budget)");
-      ("--perf-out", Arg.Set_string perf_out, "FILE perf report path (default BENCH_perf.json)");
-      ("--write-perf-baseline", Arg.Set_string perf_baseline, "FILE dump fast-arm counters as a flat baseline");
-      ("--check-perf", Arg.Set_string perf_check, "FILE fail if fast-arm counters exceed baseline by >10%");
-      ("--sweep", Arg.Set sweep_mode, " run the Wsn_engine sweep suite (-j1 vs -j4 vs warm cache)");
-      ("--sweep-quick", Arg.Unit (fun () -> sweep_mode := true; sweep_quick := true), " sweep suite, reduced grid");
-      ("--sweep-out", Arg.Set_string sweep_out, "FILE sweep report path (default BENCH_sweep.json)");
-      ("--parallel", Arg.Set parallel_mode, " run the domain-pool parallel suite (1/2/4 domains, determinism + speedup)");
-      ("--parallel-quick", Arg.Unit (fun () -> parallel_mode := true; parallel_quick := true), " parallel suite, reduced workload");
-      ("--parallel-out", Arg.Set_string parallel_out, "FILE parallel report path (default BENCH_parallel.json)");
-      ("--mac", Arg.Set mac_mode, " run the MAC simulator suite (event-driven fast path vs reference loop)");
-      ("--mac-quick", Arg.Unit (fun () -> mac_mode := true; mac_quick := true), " mac suite, reduced horizons");
-      ("--mac-out", Arg.Set_string mac_out, "FILE mac report path (default BENCH_mac.json)");
-      ("--serve", Arg.Set serve_mode, " run the admission-server suite (warm incremental vs cold reference)");
-      ("--serve-quick", Arg.Unit (fun () -> serve_mode := true; serve_quick := true), " serve suite, reduced trace, timing blanked (deterministic artifact)");
-      ("--serve-out", Arg.Set_string serve_out, "FILE serve report path (default BENCH_server.json)");
-      ("--scale", Arg.Set scale_mode, " run the scale suite (Eq. 6 bracket at 30-1000 nodes, heuristic pricing)");
-      ("--scale-quick", Arg.Unit (fun () -> scale_mode := true; scale_quick := true), " scale suite up to 300 nodes, timing blanked (deterministic artifact)");
-      ("--scale-out", Arg.Set_string scale_out, "FILE scale report path (default BENCH_scale.json)");
-      ("--soak", Arg.Set soak_mode, " run the soak suite (dynamic scenario, incremental vs rebuilt kernels, tracking error)");
-      ("--soak-quick", Arg.Unit (fun () -> soak_mode := true; soak_quick := true), " soak suite, short horizon, timing blanked (deterministic artifact)");
-      ("--soak-out", Arg.Set_string soak_out, "FILE soak report path (default BENCH_soak.json)");
-      ("--master", Arg.Set master_mode, " run the master-LP suite (stabilised Devex column generation vs Dantzig reference)");
-      ("--master-quick", Arg.Unit (fun () -> master_mode := true; master_quick := true), " master suite at 300 nodes only, timing blanked (deterministic artifact)");
-      ("--master-out", Arg.Set_string master_out, "FILE master report path (default BENCH_master.json)");
-      ("--whatif", Arg.Set whatif_mode, " run the whatif suite (basis-reuse predictions vs certified re-solves)");
-      ("--whatif-quick", Arg.Unit (fun () -> whatif_mode := true; whatif_quick := true), " whatif suite, fewer factors, timing blanked (deterministic artifact)");
-      ("--whatif-out", Arg.Set_string whatif_out, "FILE whatif report path (default BENCH_whatif.json)");
+        "S experiment seed (default 30)" );
+      ("--out", path out, "FILE artifact path (default: the suite's, listed above)");
+      ( "--write-perf-baseline",
+        path write_baseline,
+        "FILE perf: dump kernel-arm counters as a flat baseline" );
+      ( "--check-perf",
+        path check_baseline,
+        "FILE perf: fail if a kernel-arm counter exceeds the baseline by >10%" );
     ]
-    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench [--seed SEED] [--telemetry-out FILE] [--no-timing] [--perf|--perf-quick] [--perf-out FILE] [--write-perf-baseline FILE] [--check-perf FILE] [--sweep|--sweep-quick] [--sweep-out FILE] [--parallel|--parallel-quick] [--parallel-out FILE] [--mac|--mac-quick] [--mac-out FILE] [--serve|--serve-quick] [--serve-out FILE]";
-  if !whatif_mode then begin
-    whatif_bench ~seed:!seed ~quick:!whatif_quick ~out:!whatif_out ();
-    exit 0
-  end;
-  if !master_mode then begin
-    master_bench ~seed:!seed ~quick:!master_quick ~out:!master_out ();
-    exit 0
-  end;
-  if !soak_mode then begin
-    soak_bench ~seed:!seed ~quick:!soak_quick ~out:!soak_out ();
-    exit 0
-  end;
-  if !scale_mode then begin
-    scale_bench ~seed:!seed ~quick:!scale_quick ~out:!scale_out ();
-    exit 0
-  end;
-  if !serve_mode then begin
-    serve_bench ~seed:!seed ~quick:!serve_quick ~out:!serve_out ();
-    exit 0
-  end;
-  if !mac_mode then begin
-    mac_bench ~quick:!mac_quick ~out:!mac_out ();
-    exit 0
-  end;
-  if !parallel_mode then begin
-    parallel_bench ~quick:!parallel_quick ~out:!parallel_out ();
-    exit 0
-  end;
-  if !sweep_mode then begin
-    sweep_bench ~quick:!sweep_quick ~out:!sweep_out ();
-    exit 0
-  end;
-  if !perf_mode then begin
-    perf ~seed:!seed ~quick:!perf_quick ~out:!perf_out
-      ~baseline_out:(if !perf_baseline = "" then None else Some !perf_baseline)
-      ~check:(if !perf_check = "" then None else Some !perf_check)
-      ();
-    exit 0
-  end;
-  Wsn_telemetry.Registry.set_enabled true;
-  regenerate ~seed:!seed ();
-  let snap = Wsn_telemetry.Registry.snapshot () in
-  (* The baseline must diff clean run-to-run: keep span *counts* (a
-     pure function of the seed) but blank the wall-clock stats, which
-     encode as null. *)
-  let deterministic =
-    {
-      snap with
-      Wsn_telemetry.Registry.spans =
-        List.map
-          (fun (name, d) ->
-            ( name,
-              {
-                d with
-                Wsn_telemetry.Registry.sum = nan;
-                min_v = nan;
-                max_v = nan;
-                p50 = nan;
-                p90 = nan;
-                p99 = nan;
-              } ))
-          snap.Wsn_telemetry.Registry.spans;
-    }
   in
-  Wsn_telemetry.Export.write_file !out deterministic;
-  Printf.printf "wrote telemetry baseline to %s (seed %Ld)\n" !out !seed;
-  Wsn_telemetry.Registry.set_enabled false;
-  if not !skip_timing then begin
-    print_newline ();
-    benchmark ~seed:!seed ()
-  end
+  let usage =
+    Printf.sprintf "bench [%s] [--quick] [--seed S] [--out FILE]\n\n%s\n"
+      (String.concat "|" (List.map (fun s -> s.name) suites))
+      (String.concat "\n"
+         (List.map (fun s -> Printf.sprintf "  %-8s %s; writes %s" s.name s.doc s.out) suites))
+  in
+  Arg.parse specs
+    (fun name ->
+      match (List.find_opt (fun s -> s.name = name) suites, !suite) with
+      | Some s, None -> suite := Some s
+      | Some _, Some _ -> raise (Arg.Bad "one suite per run")
+      | None, _ -> raise (Arg.Bad (Printf.sprintf "unknown suite %S" name)))
+    usage;
+  let s = Option.value !suite ~default:(List.hd suites) in
+  if s.name <> "perf" && (!write_baseline <> None || !check_baseline <> None) then begin
+    prerr_endline "bench: --write-perf-baseline and --check-perf apply to the perf suite only";
+    exit 2
+  end;
+  let failed = s.run ~seed:!seed ~quick:!quick ~out:(Option.value !out ~default:s.out) in
+  List.iter (Printf.eprintf "%s FAIL: %s\n" (String.uppercase_ascii s.name)) failed;
+  if failed <> [] then exit 1

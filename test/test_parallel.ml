@@ -89,8 +89,10 @@ let test_global_pool () =
 
 (* --- determinism: parallel == sequential, bit for bit ---------------- *)
 
-(* Each arm builds a fresh model so one run's kernel memo pool cannot
-   serve another's queries: the parallel arm must recompute everything. *)
+(* Every property compares the sequential run with runs at 2 and 4
+   domains.  Each arm builds a fresh model so one run's kernel memo pool
+   cannot serve another's queries: a parallel arm must recompute
+   everything. *)
 let random_topology rng ~nodes ~side =
   let positions =
     Array.init nodes (fun _ -> Point.make (Pcg32.uniform rng 0.0 side) (Pcg32.uniform rng 0.0 side))
@@ -102,7 +104,7 @@ let at_domains d f =
   Fun.protect ~finally:(fun () -> Pool.set_domains 1) f
 
 let qcheck_enumerate_deterministic =
-  QCheck.Test.make ~name:"enumerate_sets identical at 1 and 4 domains" ~count:25
+  QCheck.Test.make ~name:"enumerate_sets identical at 1 and 4 domains, and at 2" ~count:25
     QCheck.(int_bound 10_000)
     (fun seed ->
       let topo = random_topology (Pcg32.create (Int64.of_int seed)) ~nodes:8 ~side:450.0 in
@@ -113,10 +115,11 @@ let qcheck_enumerate_deterministic =
             try Ok (Independent.enumerate_sets ~max_sets:20_000 model ~universe)
             with Failure m -> Error m)
       in
-      run 1 = run 4)
+      let r1 = run 1 in
+      r1 = run 2 && r1 = run 4)
 
 let qcheck_columns_deterministic =
-  QCheck.Test.make ~name:"columns identical at 1 and 4 domains" ~count:15
+  QCheck.Test.make ~name:"columns identical at 1 and 4 domains, and at 2" ~count:15
     QCheck.(int_bound 10_000)
     (fun seed ->
       let topo = random_topology (Pcg32.create (Int64.of_int seed)) ~nodes:7 ~side:400.0 in
@@ -127,13 +130,14 @@ let qcheck_columns_deterministic =
             try Ok (Independent.columns ~max_sets:20_000 model ~universe)
             with Failure m -> Error m)
       in
-      run 1 = run 4)
+      let r1 = run 1 in
+      r1 = run 2 && r1 = run 4)
 
 let qcheck_colgen_deterministic =
   (* Warm column generation prices candidates in parallel; optimum,
      column/iteration counts and the witness schedule must all match
      the sequential run exactly. *)
-  QCheck.Test.make ~name:"warm colgen identical at 1 and 4 domains" ~count:10
+  QCheck.Test.make ~name:"warm colgen identical at 1 and 4 domains, and at 2" ~count:10
     QCheck.(int_range 6 12)
     (fun n ->
       let run d =
@@ -149,12 +153,13 @@ let qcheck_colgen_deterministic =
               r.Column_gen.iterations,
               Wsn_sched.Schedule.slots r.Column_gen.schedule ))
       in
-      run 1 = run 4)
+      let r1 = run 1 in
+      r1 = run 2 && r1 = run 4)
 
 let qcheck_fig3_payload_deterministic =
   (* The whole sweep payload — admission under every metric — through
      the real job runner. *)
-  QCheck.Test.make ~name:"fig3 payload identical at 1 and 4 domains" ~count:5
+  QCheck.Test.make ~name:"fig3 payload identical at 1 and 4 domains, and at 2" ~count:5
     QCheck.(int_bound 1_000)
     (fun seed ->
       let spec =
@@ -162,12 +167,13 @@ let qcheck_fig3_payload_deterministic =
           ~metric:(Wsn_routing.Metrics.name (List.hd Wsn_routing.Metrics.all))
       in
       let run d = at_domains d (fun () -> Wsn_experiments.Sweep_jobs.runner spec) in
-      String.equal (run 1) (run 4))
+      let r1 = run 1 in
+      String.equal r1 (run 2) && String.equal r1 (run 4))
 
 let qcheck_mac_replications_deterministic =
   (* The MAC simulator's replication fan-out, including the shared
      prepared kernel, must match the sequential map bit for bit. *)
-  QCheck.Test.make ~name:"mac replications identical at 1 and 4 domains" ~count:8
+  QCheck.Test.make ~name:"mac replications identical at 1 and 4 domains, and at 2" ~count:8
     QCheck.(int_bound 10_000)
     (fun seed ->
       let module Sim = Wsn_mac.Sim in
@@ -181,7 +187,8 @@ let qcheck_mac_replications_deterministic =
             let prepared = Sim.prepare topo in
             Sim.run_replications ~prepared ~seeds topo ~flows ~duration_us:100_000)
       in
-      compare (run 1) (run 4) = 0)
+      let r1 = run 1 in
+      compare r1 (run 2) = 0 && compare r1 (run 4) = 0)
 
 let suite =
   [
