@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke bench-mac mac-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
 
 all:
 	dune build
@@ -21,7 +21,6 @@ check:
 	dune runtest
 	$(MAKE) sweep-smoke
 	$(MAKE) serve-smoke
-	$(MAKE) mac-smoke SMOKE_OUT=$(CHECK_OUT)
 	$(MAKE) artifacts-check
 
 # The seven deterministic artifacts: pure functions of the code (the
@@ -90,24 +89,10 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- perf --quick --out BENCH_perf_quick.json
 
-# MAC-simulator suite: the event-driven fast path vs the retained
-# reference loop on a saturated and a lightly loaded scenario.
-# Byte-identity of the stats is always gated; so are the speedups
-# (>= 1.3x saturated, >= 3x light — idle-skipping's headline case).
-bench-mac:
-	dune exec bench/main.exe -- mac --out BENCH_mac.json
-
-# Same suite with reduced horizons — the identity gate in seconds; part
-# of `make check`.
-mac-smoke:
-	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- mac --quick --out $(SMOKE_OUT)/BENCH_mac_quick.json
-
 # Admission-server suite: one Poisson admit/release/query trace through
-# a warm session and the cold reference.  Byte identity of the response
-# transcripts is always gated; the >= 1.2x warm speedup only in the
-# full (timed) run.  The quick artifact blanks timings and is a pure
-# function of the seed.
+# a warm session and the cold reference.  Gated in quick and full mode:
+# byte identity of the response transcripts, transcripts unchanged by
+# telemetry, and the cold arm making >= 1.2x the warm arm's LP pivots.
 bench-serve:
 	dune exec bench/main.exe -- serve --quick --out BENCH_server_quick.json
 
@@ -117,13 +102,12 @@ bench-serve-full:
 # Scale suite: the Eq. 6 availability bracket (heuristic column pricing
 # vs the hard-conflict clique upper bound) at 30/100/300/1000 nodes.
 # Gated: auto-vs-exact wire identity at n=30, bracket soundness on
-# every row, and (full mode) the 300-node query under 60 s.
+# every row, and a certified 300-node row.
 bench-scale:
 	dune exec bench/main.exe -- scale --out BENCH_scale.json
 
-# Same suite up to 300 nodes with timings blanked — the identity and
-# soundness gates in seconds, byte-deterministic artifact; `make
-# check` runs it through artifacts-check.
+# Same suite up to 300 nodes — every gate in seconds; `make check`
+# runs it through artifacts-check.
 scale-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- scale --quick --out $(SMOKE_OUT)/BENCH_scale_quick.json
@@ -132,14 +116,13 @@ scale-smoke:
 # node join/leave, waypoint drift) replayed under incremental
 # (Sim.apply_delta) and full-rebuild kernel maintenance.  Gated:
 # byte-identical kernels and rows across the modes, a trackable probe,
-# and (full mode) >= 2x prepare speedup over the churn epochs of the
-# 300-node upkeep profile.
+# and rebuilds making >= 2x the PHY evaluations of patches over the
+# churn epochs of the 300-node upkeep profile.
 bench-soak:
 	dune exec bench/main.exe -- soak --out BENCH_soak.json
 
-# Same suite on a short horizon with timings blanked — the identity
-# gates in seconds, byte-deterministic artifact; `make check` runs it
-# through artifacts-check.
+# Same suite on a short horizon (60-node profile) — every gate in
+# seconds; `make check` runs it through artifacts-check.
 soak-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- soak --quick --out $(SMOKE_OUT)/BENCH_soak_quick.json
@@ -147,28 +130,25 @@ soak-smoke:
 # Master-LP suite: the stabilised column-generation master (Devex
 # pricing, dual stabilisation, degenerate-pivot perturbation) vs the
 # Dantzig/unstabilised reference on the scale scenarios.  Wire identity
-# of the two arms is always gated; the >= 3x pivots-per-column and
-# >= 2x resolve-time wins on the 1000-node light-load row only in the
-# full (timed) run.
+# of the two arms is always gated; the >= 3x pivots-per-column win on
+# the 1000-node light-load row in the full run, which has that row.
 bench-master:
 	dune exec bench/main.exe -- master --out BENCH_master.json
 
-# Same suite at 300 nodes with timings blanked — the wire-identity gate
-# in seconds, byte-deterministic artifact; `make check` runs it
-# through artifacts-check.
+# Same suite at 300 nodes — the wire-identity gate in seconds; `make
+# check` runs it through artifacts-check.
 master-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- master --quick --out $(SMOKE_OUT)/BENCH_master_quick.json
 
 # Whatif suite: demand-scaling what-if queries answered from the warm
-# master's cached optimal basis vs fresh certified re-solves.  Wire
-# identity of every in-range prediction is always gated; the >= 5x
-# predict-over-resolve speedup only in the full (timed) run.
+# master's cached optimal basis vs fresh certified re-solves.  Gated:
+# wire identity of every in-range prediction, and the re-solves making
+# >= 5x the predictions' simplex pivots.
 bench-whatif:
 	dune exec bench/main.exe -- whatif --out BENCH_whatif.json
 
-# Same suite on fewer factors with timings blanked — the in-range
-# identity gate in seconds, byte-deterministic artifact; `make check`
+# Same suite on fewer factors — every gate in seconds; `make check`
 # runs it through artifacts-check.
 whatif-smoke:
 	mkdir -p $(SMOKE_OUT)

@@ -254,14 +254,6 @@ let sweep_cmd =
     let doc = "Per-flow demand in Mbit/s (the paper uses 2.0)." in
     Arg.(value & opt float 2.0 & info [ "demand" ] ~docv:"MBPS" ~doc)
   in
-  let backend =
-    let doc =
-      "Job execution backend: $(b,fork) (default; crash-isolated child processes with \
-       timeouts) or $(b,domains) (in-process domain pool; pure jobs only, no fork \
-       overhead, results byte-identical to fork)."
-    in
-    Arg.(value & opt string "fork" & info [ "backend" ] ~docv:"NAME" ~doc)
-  in
   let jobs =
     let doc = "Worker processes; 0 runs in-process (no crash isolation or timeouts)." in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -299,20 +291,9 @@ let sweep_cmd =
     let doc = "Print per-seed Fig. 3 tables (byte-identical to e3) instead of the aggregate." in
     Arg.(value & flag & info [ "table" ] ~doc)
   in
-  let run telem domains kind seeds metrics n_flows demand backend jobs timeout retries cache_dir
+  let run telem domains kind seeds metrics n_flows demand jobs timeout retries cache_dir
       no_cache out journal resume retry_failed table =
     with_common telem domains @@ fun () ->
-    let backend =
-      match backend with
-      | "fork" -> Engine.Pool.Fork
-      | "domains" ->
-        (* Fault-injection kinds exist to crash, hang or kill their
-           worker; only the forked backend survives that. *)
-        if kind <> "fig3" then
-          die exit_usage "--backend domains requires a pure job kind (fig3), not %s" kind;
-        Engine.Pool.Domains
-      | other -> die exit_usage "unknown backend %S (have: fork, domains)" other
-    in
     let seeds =
       match Engine.Grid.parse_range seeds with
       | Ok s -> s
@@ -332,8 +313,7 @@ let sweep_cmd =
     if resume && journal = None then die exit_usage "--resume needs --journal or --out";
     let cfg =
       {
-        Engine.Sweep.backend;
-        workers = jobs;
+        Engine.Sweep.workers = jobs;
         timeout_s = (if timeout <= 0.0 then infinity else timeout);
         retries;
         cache_dir = (if no_cache then None else Some cache_dir);
@@ -386,7 +366,7 @@ let sweep_cmd =
           content-addressed cache, resumable journal")
     Term.(
       const run $ telemetry_arg $ domains_arg $ kind $ seeds $ metrics $ n_flows $ demand
-      $ backend $ jobs $ timeout $ retries $ cache_dir $ no_cache $ out $ journal $ resume
+      $ jobs $ timeout $ retries $ cache_dir $ no_cache $ out $ journal $ resume
       $ retry_failed $ table)
 
 let scale_cmd =

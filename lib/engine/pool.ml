@@ -1,7 +1,5 @@
 module Registry = Wsn_telemetry.Registry
 
-type backend = Fork | Domains
-
 type failure = Exn of string | Signalled of int | Timeout
 
 type outcome = Done of string | Failed of failure
@@ -33,8 +31,6 @@ let m_failures = Registry.counter "engine.failures"
 let m_timeouts = Registry.counter "engine.timeouts"
 
 let m_forks = Registry.counter "engine.forks"
-
-let m_domain_jobs = Registry.counter "engine.domain_jobs"
 
 let g_queue = Registry.gauge "engine.queue_depth"
 
@@ -117,7 +113,7 @@ let attempt_outcome status data =
     else if n > 0 && data.[0] = 'E' then Error (Exn (String.sub data 1 (n - 1)))
     else Error (Exn (Printf.sprintf "worker exited with code %d and no result" code))
 
-let run ?(backend = Fork) ?(workers = 1) ?(timeout_s = infinity) ?(retries = 0) ?cache ?on_result
+let run ?(workers = 1) ?(timeout_s = infinity) ?(retries = 0) ?cache ?on_result
     ~runner specs =
   let arr = Array.of_list specs in
   let n = Array.length arr in
@@ -129,52 +125,7 @@ let run ?(backend = Fork) ?(workers = 1) ?(timeout_s = infinity) ?(retries = 0) 
     results.(res.index) <- Some res;
     match on_result with Some f -> f res | None -> ()
   in
-  if backend = Domains then begin
-    (* In-process domain fan-out for pure, trusted runners: no fork, no
-       crash isolation, no timeouts.  Cache hits resolve sequentially
-       up front; the rest run on a dedicated domain pool with the same
-       retry accounting as the forked backend, and finalize (hence the
-       journal) in input order after the join. *)
-    let pending = ref [] in
-    Array.iteri
-      (fun i spec ->
-        match cache_find cache spec with
-        | Some payload ->
-          finalize { spec; index = i; outcome = Done payload; attempts = 0; cached = true; wall_s = 0.0 }
-        | None -> pending := (i, spec) :: !pending)
-      arr;
-    let pending = Array.of_list (List.rev !pending) in
-    Registry.set g_queue (float_of_int (Array.length pending));
-    let d = max 1 workers in
-    Registry.set_max g_inflight (float_of_int (min d (Array.length pending)));
-    let outcomes =
-      Wsn_parallel.Pool.with_pool ~domains:d (fun pool ->
-          Wsn_parallel.Pool.map pool
-            (fun (_, spec) ->
-              Registry.incr m_domain_jobs;
-              let t0 = Unix.gettimeofday () in
-              let rec go attempt =
-                match runner spec with
-                | payload -> (Done payload, attempt)
-                | exception e ->
-                  if attempt <= retries then begin
-                    Registry.incr m_retries;
-                    go (attempt + 1)
-                  end
-                  else (Failed (Exn (Printexc.to_string e)), attempt)
-              in
-              let outcome, attempts = go 1 in
-              (outcome, attempts, Unix.gettimeofday () -. t0))
-            pending)
-    in
-    Array.iteri
-      (fun p (i, spec) ->
-        let outcome, attempts, wall_s = outcomes.(p) in
-        (match outcome with Done payload -> cache_store cache spec payload | Failed _ -> ());
-        finalize { spec; index = i; outcome; attempts; cached = false; wall_s })
-      pending
-  end
-  else if workers <= 0 then
+  if workers <= 0 then
     (* In-process: no isolation and no timeouts, but identical
        ordering, caching, retry and telemetry semantics. *)
     Array.iteri

@@ -24,18 +24,6 @@
     [engine.queue_depth] (jobs not yet dispatched, high-water
     [engine.inflight_max]); span [engine.job] per job. *)
 
-(** How job attempts execute.  [Fork] is the default described above:
-    one child process per attempt, full crash isolation, SIGKILL
-    timeouts.  [Domains] runs attempts in-process on a dedicated
-    {!Wsn_parallel.Pool} of [workers] domains — no fork overhead, but
-    also no isolation and no timeouts, so it is only for pure, trusted
-    runners (a segfaulting job takes the whole sweep down).  With
-    [Domains], cache hits still resolve up front in submission order,
-    results are identical to [Fork] for runners that do not crash, and
-    [on_result] fires in input order after the parallel region (not in
-    completion order). *)
-type backend = Fork | Domains
-
 type failure =
   | Exn of string  (** The runner raised (or the worker died mutely). *)
   | Signalled of int  (** Worker killed by signal [n] (segfault, OOM...). *)
@@ -53,7 +41,6 @@ type result = {
 }
 
 val run :
-  ?backend:backend ->
   ?workers:int ->
   ?timeout_s:float ->
   ?retries:int ->
@@ -63,10 +50,9 @@ val run :
   Spec.t list ->
   result list
 (** [run ~runner specs] executes every spec and returns results in
-    input order.  Defaults: [backend = Fork], [workers = 1] (forked),
+    input order.  Defaults: [workers = 1] (forked),
     [timeout_s = infinity], [retries = 0], no cache.  [on_result]
     fires once per job in completion order (journal hook).  Cache hits
-    are resolved in the parent and never fork.  [timeout_s] is ignored
-    under [backend = Domains]. *)
+    are resolved in the parent and never fork. *)
 
 val failure_to_string : failure -> string

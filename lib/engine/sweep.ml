@@ -1,7 +1,6 @@
 module Registry = Wsn_telemetry.Registry
 
 type config = {
-  backend : Pool.backend;
   workers : int;
   timeout_s : float;
   retries : int;
@@ -15,7 +14,6 @@ type config = {
 
 let default =
   {
-    backend = Pool.Fork;
     workers = 1;
     timeout_s = infinity;
     retries = 1;
@@ -134,7 +132,7 @@ let run cfg ~runner specs =
         }
   in
   let pool_results =
-    Pool.run ~backend:cfg.backend ~workers:cfg.workers ~timeout_s:cfg.timeout_s
+    Pool.run ~workers:cfg.workers ~timeout_s:cfg.timeout_s
       ~retries:cfg.retries ?cache ~on_result ~runner (List.map snd to_run)
   in
   Option.iter close_out journal_oc;

@@ -12,8 +12,7 @@
     [retry_failed] is set. *)
 
 type config = {
-  backend : Pool.backend;  (** [Fork] (default) or in-process [Domains]. *)
-  workers : int;  (** [0] = in-process, [N >= 1] = forked pool; domain count under [Domains]. *)
+  workers : int;  (** [0] = in-process, [N >= 1] = forked pool. *)
   timeout_s : float;  (** Per-job wall clock; [infinity] = none. *)
   retries : int;  (** Extra attempts after the first failure. *)
   cache_dir : string option;  (** [None] disables the cache. *)

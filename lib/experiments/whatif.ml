@@ -16,12 +16,19 @@ type row = {
   max_err_mbps : float;
   predict_s : float;
   resolve_s : float;
+  predict_pivots : int;
+  resolve_pivots : int;
 }
 
-let time f =
+let c_pivots = Wsn_telemetry.Registry.counter "lp.pivots"
+
+(* [f ()] with its wall time and the simplex pivots it made (the
+   [lp.pivots] counter only moves while telemetry is enabled). *)
+let measure f =
+  let p0 = Wsn_telemetry.Registry.counter_value c_pivots in
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Unix.gettimeofday () -. t0, Wsn_telemetry.Registry.counter_value c_pivots - p0)
 
 (* One scenario instance shared by every factor: the probed path, its
    background, and the dual view frozen at the certified optimum. *)
@@ -79,19 +86,23 @@ let probe inst factor =
   and in_range_wire = ref 0
   and max_err = ref 0.0
   and predict_s = ref 0.0
-  and resolve_s = ref 0.0 in
+  and resolve_s = ref 0.0
+  and predict_pivots = ref 0
+  and resolve_pivots = ref 0 in
   for k = 0 to n_queries - 1 do
     let lo, hi = Column_gen.scale_ranging inst.i_sens k in
     let inside = factor >= lo -. 1e-9 && factor <= hi +. 1e-9 in
     if inside then incr in_range;
-    let w, tp = time (fun () -> Column_gen.whatif_scale inst.i_sens k ~factor) in
+    let w, tp, pp = measure (fun () -> Column_gen.whatif_scale inst.i_sens k ~factor) in
     predict_s := !predict_s +. tp;
+    predict_pivots := !predict_pivots + pp;
     if w.Column_gen.w_repivoted then incr repivoted;
-    let fresh, tr =
-      time (fun () ->
+    let fresh, tr, rp =
+      measure (fun () ->
           Column_gen.available ~pricer:Column_gen.Exact inst.i_model ~background:(scaled inst k factor) ~path:inst.i_path)
     in
     resolve_s := !resolve_s +. tr;
+    resolve_pivots := !resolve_pivots + rp;
     let exact_mbps, exact_feasible =
       match fresh with
       | Some r -> (r.Column_gen.bandwidth_mbps, true)
@@ -115,6 +126,8 @@ let probe inst factor =
     max_err_mbps = !max_err;
     predict_s = !predict_s;
     resolve_s = !resolve_s;
+    predict_pivots = !predict_pivots;
+    resolve_pivots = !resolve_pivots;
   }
 
 let default_factors = [ 0.0; 0.5; 0.9; 1.1; 1.5; 2.0 ]

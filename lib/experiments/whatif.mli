@@ -29,6 +29,12 @@ type row = {
   max_err_mbps : float;  (** Largest |prediction − re-solve| seen. *)
   predict_s : float;  (** Summed wall time of the predictions. *)
   resolve_s : float;  (** Summed wall time of the fresh re-solves. *)
+  predict_pivots : int;
+      (** Simplex pivots the predictions made (re-pivots only; [0]
+          unless telemetry is enabled, which the counts read from
+          [lp.pivots]). *)
+  resolve_pivots : int;
+      (** Simplex pivots the fresh re-solves made (same caveat). *)
 }
 
 val default_factors : float list

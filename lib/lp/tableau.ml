@@ -28,10 +28,6 @@ let m_elim_cells = Telemetry.counter "lp.elim_cells"
 
 type pricing = Dantzig | Devex
 
-let default_pricing = ref Devex
-
-let default_perturb = ref true
-
 type result =
   | Optimal of { x : Vector.t; objective : float; duals : Vector.t }
   | Unbounded
@@ -506,7 +502,7 @@ let solve_raw ~pricing ~perturb ~a ~b ~c ~senses =
   | Unbounded_phase -> (Unbounded, None)
   | Finished -> (extract st, Some st)
 
-let solve_open ?(pricing = !default_pricing) ?(perturb = !default_perturb) ~a ~b ~c ~senses () =
+let solve_open ?(pricing = Devex) ?(perturb = true) ~a ~b ~c ~senses () =
   Wsn_telemetry.Span.with_span "lp.solve" (fun () ->
       Telemetry.incr m_solves;
       try solve_raw ~pricing ~perturb ~a ~b ~c ~senses with Exit -> (Infeasible, None))

@@ -23,16 +23,6 @@ type pricing =
           scan — far fewer pivots on degenerate masters.  Same optimum;
           the optimal basis (and float round-off) may differ. *)
 
-val default_pricing : pricing ref
-(** Pricing used by {!solve_open} when [?pricing] is omitted
-    ([Devex]). *)
-
-val default_perturb : bool ref
-(** Whether {!reoptimize} may perturb degenerate right-hand sides when
-    [?perturb] is omitted at {!solve_open} ([true]).  The clean-up pass
-    restores exact feasibility, so results are still exact optima of
-    the unperturbed problem. *)
-
 type result =
   | Optimal of {
       x : Wsn_linalg.Vector.t;
@@ -81,10 +71,13 @@ val solve_open :
   unit ->
   result * state option
 (** As {!solve}, additionally returning the warm state when the problem
-    is optimal ([None] on [Infeasible]/[Unbounded]).  [pricing] and
-    [perturb] (defaults {!default_pricing} / {!default_perturb}) govern
-    every subsequent {!reoptimize} on the returned state; the initial
-    cold solve always runs the Dantzig reference path. *)
+    is optimal ([None] on [Infeasible]/[Unbounded]).  [pricing]
+    (default [Devex]) and [perturb] (default [true]: {!reoptimize} may
+    perturb degenerate right-hand sides; the clean-up pass restores
+    exact feasibility, so results are still exact optima of the
+    unperturbed problem) govern every subsequent {!reoptimize} on the
+    returned state; the initial cold solve always runs the Dantzig
+    reference path. *)
 
 val add_column : state -> coeffs:(int * float) list -> cost:float -> int
 (** [add_column st ~coeffs ~cost] appends a non-negative structural

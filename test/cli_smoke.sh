@@ -80,16 +80,10 @@ expect_exit 0 "sweep --table runs" \
   "$BIN" sweep --table --seeds 30 --n-flows 8 -j 2 --no-cache
 assert "sweep --table == e3" cmp -s "$T/e3.txt" "$T/stdout"
 
-# --- multicore: --domains and the in-process domains backend ----------
+# --- multicore: --domains --------------------------------------------
 expect_exit 0 "e3 --domains 2 runs" "$BIN" e3 --seed 30 --domains 2
 assert "e3 --domains 2 == e3 (parallelism is invisible)" cmp -s "$T/e3.txt" "$T/stdout"
 expect_exit 2 "--domains 0 is a usage error" "$BIN" e3 --seed 30 --domains 0
-expect_exit 2 "unknown --backend is a usage error" "$BIN" sweep --backend bogus
-expect_exit 2 "--backend domains with a crashy kind is a usage error" \
-  "$BIN" sweep --kind crash --backend domains --seeds 1 --no-cache
-expect_exit 0 "domains-backend sweep succeeds" \
-  "$BIN" sweep --seeds 1..2 --n-flows 2 --backend domains -j 2 --no-cache -o "$T/domains.jsonl"
-assert "domains backend byte-identical to fork" cmp -s "$T/cold.jsonl" "$T/domains.jsonl"
 
 # --- soak: exit-code policy and incremental-vs-rebuild identity -------
 SOAK=(soak --epochs 4 --horizon-h 2 --window-us 100000)

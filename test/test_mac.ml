@@ -457,8 +457,70 @@ let test_event_queue_drain_until () =
   check Alcotest.int "same-batch reschedules drained" 4 !hops;
   check Alcotest.int "first out of horizon kept" 1 (Event_queue.size q2)
 
+(* Two fixed scenarios at the extremes of idle-skipping, each on seeds
+   1-3.  Saturated: eight co-located sender/receiver pairs far beyond
+   link capacity, so every slot has contenders and nothing is skipped.
+   Light: one 0.5 Mbit/s flow down an 8-node chain that sits idle
+   between frames, where the fast loop skips almost every slot. *)
+let saturated_pairs () =
+  let n_pairs = 8 in
+  let topo =
+    Topology.create
+      (Array.init (2 * n_pairs) (fun i ->
+           if i < n_pairs then Point.make (float_of_int i *. 2.0) 0.0
+           else Point.make (float_of_int (i - n_pairs) *. 2.0) 50.0))
+  in
+  let flows =
+    List.init n_pairs (fun i -> { Sim.links = [ the_link topo i (i + n_pairs) ]; demand_mbps = 80.0 })
+  in
+  (topo, flows)
+
+let light_chain () =
+  let topo = Wsn_net.Builders.chain ~spacing_m:50.0 8 in
+  (topo, [ { Sim.links = Wsn_net.Builders.chain_hop_links topo; demand_mbps = 0.5 } ])
+
+let check_fixed_parity (topo, flows) ~duration_us () =
+  let prepared = Sim.prepare topo in
+  List.iter
+    (fun seed ->
+      check Alcotest.bool
+        (Printf.sprintf "seed %Ld: run = run_reference" seed)
+        true
+        (stats_equal
+           (Sim.run ~seed ~prepared topo ~flows ~duration_us)
+           (Sim.run_reference ~seed topo ~flows ~duration_us)))
+    [ 1L; 2L; 3L ]
+
+module Registry = Wsn_telemetry.Registry
+
+let test_light_chain_skips_idle_slots () =
+  let topo, flows = light_chain () in
+  Registry.reset ();
+  Registry.set_enabled true;
+  let snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Registry.set_enabled false;
+        Registry.reset ())
+      (fun () ->
+        ignore (Sim.run ~seed:1L topo ~flows ~duration_us:1_000_000);
+        Registry.snapshot ())
+  in
+  let counter n = Option.value ~default:0 (List.assoc_opt n snap.Registry.counters) in
+  let skipped = counter "mac.slots_skipped" and slots = counter "mac.slots" in
+  check Alcotest.bool
+    (Printf.sprintf "skipped %d of %d slots (>= 90%%)" skipped slots)
+    true
+    (slots > 0 && 10 * skipped >= 9 * slots)
+
 let parity_suite =
   [
+    Alcotest.test_case "saturated 8 pairs run = ref" `Quick
+      (check_fixed_parity (saturated_pairs ()) ~duration_us:300_000);
+    Alcotest.test_case "light 8-chain run = ref" `Quick
+      (check_fixed_parity (light_chain ()) ~duration_us:1_000_000);
+    Alcotest.test_case "light 8-chain skips >= 90%" `Quick
+      test_light_chain_skips_idle_slots;
     QCheck_alcotest.to_alcotest qcheck_fast_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_prepared_sharing_is_pure;
     Alcotest.test_case "prepared topology mismatch" `Quick test_prepared_topology_mismatch;
