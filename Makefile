@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
 
 all:
 	dune build
@@ -40,6 +40,21 @@ define gen_artifacts
 	dune exec bench/main.exe -- figures --seed 30 --out $(1)/BENCH_telemetry.json >/dev/null
 endef
 
+# $(call cmp_artifacts,DIR,FILES): byte-compare each committed FILE
+# with its regeneration in DIR, printing the diff of any mismatch.
+define cmp_artifacts
+	@status=0; \
+	for f in $(2); do \
+	  if ! cmp -s $$f $(1)/$$f; then \
+	    echo "$@: $$f differs from a fresh regeneration:"; \
+	    diff $$f $(1)/$$f; \
+	    status=1; \
+	  fi; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "$@: $(words $(2)) artifacts byte-identical"; fi; \
+	exit $$status
+endef
+
 # Refresh the committed artifacts in place.
 artifacts:
 	$(call gen_artifacts,.)
@@ -50,16 +65,26 @@ artifacts:
 artifacts-check:
 	rm -rf $(CHECK_OUT)/artifacts
 	$(call gen_artifacts,$(CHECK_OUT)/artifacts)
-	@status=0; \
-	for f in $(ARTIFACTS); do \
-	  if ! cmp -s $$f $(CHECK_OUT)/artifacts/$$f; then \
-	    echo "artifacts-check: $$f differs from a fresh regeneration:"; \
-	    diff $$f $(CHECK_OUT)/artifacts/$$f; \
-	    status=1; \
-	  fi; \
-	done; \
-	if [ $$status -eq 0 ]; then echo "artifacts-check: $(words $(ARTIFACTS)) artifacts byte-identical"; fi; \
-	exit $$status
+	$(call cmp_artifacts,$(CHECK_OUT)/artifacts,$(ARTIFACTS))
+
+# The six full-mode artifacts, committed beside the quick ones.
+FULL_ARTIFACTS = BENCH_master.json BENCH_perf.json BENCH_scale.json \
+	BENCH_server.json BENCH_soak.json BENCH_whatif.json
+
+# Full-mode answers-unchanged gate: regenerate the full artifacts into
+# CHECK_OUT and byte-compare each with the committed copy, like
+# artifacts-check.  Minutes, not seconds (the 1000-node scale and
+# master rows), so `make check` does not run it.
+artifacts-check-full:
+	rm -rf $(CHECK_OUT)/artifacts-full
+	mkdir -p $(CHECK_OUT)/artifacts-full
+	dune exec bench/main.exe -- master --out $(CHECK_OUT)/artifacts-full/BENCH_master.json >/dev/null
+	dune exec bench/main.exe -- perf --out $(CHECK_OUT)/artifacts-full/BENCH_perf.json >/dev/null
+	dune exec bench/main.exe -- scale --out $(CHECK_OUT)/artifacts-full/BENCH_scale.json >/dev/null
+	dune exec bench/main.exe -- serve --out $(CHECK_OUT)/artifacts-full/BENCH_server.json >/dev/null
+	dune exec bench/main.exe -- soak --out $(CHECK_OUT)/artifacts-full/BENCH_soak.json >/dev/null
+	dune exec bench/main.exe -- whatif --out $(CHECK_OUT)/artifacts-full/BENCH_whatif.json >/dev/null
+	$(call cmp_artifacts,$(CHECK_OUT)/artifacts-full,$(FULL_ARTIFACTS))
 
 # Engine sweep smoke: a tiny fixed-seed grid through the real CLI under
 # -j2, asserting the exit-code policy, journal contents, warm-cache

@@ -465,9 +465,9 @@ type fstation = {
       jitter (same code, same order) and backoff draws inside the
       contention phase.  The reference walks all stations in ascending
       id; the fast path walks the contender bitset — the same subset in
-      the same order, and stations outside it never draw.  Idle-slot
-      skipping fires only when the contender set is empty, so no draw
-      is skipped or reordered.
+      the same order, and stations outside it never draw.  A jump
+      stops at or before every unsensed contender's next draw, so no
+      draw is skipped or reordered.
 
    2. Float operation order.  The reference sums interferer powers with
       a left fold over the active list in ascending station id and
@@ -477,16 +477,17 @@ type fstation = {
       float [Phy.received_power] returns, summed in the same order,
       divided by the same (interference +. noise).
 
-   3. Slot-skip soundness.  A slot is skipped only when no station is
-      in DIFS/backoff (contender set empty).  In that state a slot's
-      six phases reduce to: no arrivals (none due), no contention (and
-      hence no RNG draws and no new transmissions), reception flags
-      frozen (the active set is static between transmission events, the
-      flags are monotone, and shrinking the interferer set only raises
-      SINR), busy accounting over a static transmitting ∪ sensed set,
-      and a uniform countdown of in-flight frames.  Jumping to the next
-      arrival or completion and crediting busy time in bulk is
-      therefore observationally identical. *)
+   3. Slot-jump soundness.  A slot is jumped only when no station
+      changes state except by countdown.  In such a slot the six phases
+      reduce to: no arrivals (none due), contention that only resets a
+      sensed contender's DIFS or advances an unsensed one's DIFS or
+      backoff by one (no RNG draw, no new transmission), reception
+      flags frozen (the active set is static between transmission
+      events, the flags are monotone, and shrinking the interferer set
+      only raises SINR), busy accounting over a static transmitting ∪
+      sensed set, and a uniform countdown of in-flight frames.  Jumping
+      to the first slot with any other event and applying these
+      updates in bulk is therefore observationally identical. *)
 let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~duration_us =
   Wsn_telemetry.Span.with_span "mac.run" @@ fun () ->
   List.iter (validate_flow topo) flows;
@@ -573,16 +574,9 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
   let sensed = Bitset.create n in
   let sensed_cnt = Array.make n 0 in
   let contenders = Bitset.create n in
-  let n_contenders = ref 0 in
   let n_active = ref 0 in
   let active_ids = Array.make (max n 1) 0 in
   let arrival_buf = Int_buf.create () in
-  let set_contender st =
-    if not (Bitset.mem contenders st.f_id) then begin
-      Bitset.add contenders st.f_id;
-      incr n_contenders
-    end
-  in
   let add_silence l =
     walk
       (fun v ->
@@ -604,7 +598,7 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
     if st.f_current = None then begin
       (* current = None implies no transmission in flight. *)
       st.f_current <- Some frame;
-      set_contender st
+      Bitset.add contenders st.f_id
     end
     else if Queue.length st.f_queue >= config.Dcf_config.queue_limit then
       dropped_frames.(frame.flow) <- dropped_frames.(frame.flow) + 1
@@ -625,7 +619,6 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
     st.f_difs <- 0;
     incr frames_sent;
     Bitset.remove contenders st.f_id;
-    decr n_contenders;
     Bitset.add transmitting st.f_id;
     incr n_active;
     add_silence link;
@@ -667,43 +660,50 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
             else enqueue_frame link_dst.(l) { frame with remaining = rest }));
        next_frame st
      end);
-    if st.f_current <> None then set_contender st
+    if st.f_current <> None then Bitset.add contenders st.f_id
   in
   let slot = ref 0 in
   while !slot < total_slots do
-    (* Idle-slot skipping: with no contender, slots pass with no RNG
-       draw and no state change beyond busy credit and the in-flight
-       countdown — jump to the next arrival or completion. *)
-    if !n_contenders = 0 then begin
-      let next_arr =
-        match Event_queue.next_time arrivals with
-        | Some t -> t / slot_us
-        | None -> total_slots
-      in
-      let target =
-        if !n_active = 0 then next_arr
-        else begin
-          let min_left = ref max_int in
-          walk
-            (fun id ->
-              let left = stations.(id).f_left in
-              if left < !min_left then min_left := left)
-            transmitting;
-          min next_arr (!slot + !min_left - 1)
-        end
-      in
-      let target = min target total_slots in
-      if target > !slot then begin
-        let k = target - !slot in
-        if !n_active > 0 then begin
-          walk_union
-            (fun v -> busy_slots.(v) <- busy_slots.(v) + k)
-            transmitting sensed;
-          walk (fun id -> stations.(id).f_left <- stations.(id).f_left - k) transmitting
-        end;
-        skipped := !skipped + k;
-        slot := target
-      end
+    (* Event jump: advance to the first slot where a station does more
+       than count down — an arrival, a frame completion, or an unsensed
+       contender reaching its backoff draw or its transmission start.
+       Every slot before it is a pure countdown with no RNG draw and a
+       static active set, applied here in bulk. *)
+    let target =
+      ref
+        (match Event_queue.next_time arrivals with
+         | Some t -> min (t / slot_us) total_slots
+         | None -> total_slots)
+    in
+    walk
+      (fun id ->
+        let left = !slot + stations.(id).f_left - 1 in
+        if left < !target then target := left)
+      transmitting;
+    walk
+      (fun id ->
+        if not (Bitset.mem sensed id) then begin
+          let st = stations.(id) in
+          let ev = !slot + (difs_slots - st.f_difs) + max st.f_backoff 0 in
+          if ev < !target then target := ev
+        end)
+      contenders;
+    if !target > !slot then begin
+      let k = !target - !slot in
+      walk_union (fun v -> busy_slots.(v) <- busy_slots.(v) + k) transmitting sensed;
+      walk (fun id -> stations.(id).f_left <- stations.(id).f_left - k) transmitting;
+      walk
+        (fun id ->
+          let st = stations.(id) in
+          if Bitset.mem sensed id then st.f_difs <- 0
+          else begin
+            let a = min k (difs_slots - st.f_difs) in
+            st.f_difs <- st.f_difs + a;
+            if k > a then st.f_backoff <- st.f_backoff - (k - a)
+          end)
+        contenders;
+      skipped := !skipped + k;
+      slot := !target
     end;
     if !slot < total_slots then begin
       let now_us = !slot * slot_us in

@@ -19,11 +19,11 @@
       measurement, which only depends on data-frame airtime.
 
     Everything is deterministic in the seed.  {!run} is the production
-    loop — event-driven, bitset carrier sensing, idle-slot skipping,
-    allocation-free per slot; {!run_reference} is the original
+    loop — event-driven, bitset carrier sensing, bulk jumps over every
+    slot where stations only count down, allocation-free per slot; {!run_reference} is the original
     slot-stepping loop kept as the behavioural oracle.  Both produce
     byte-identical {!stats} (pinned by the QCheck parity suite; the
-    skip-soundness argument is DESIGN.md Appendix E). *)
+    jump-soundness argument is DESIGN.md Appendix E). *)
 
 type flow_spec = {
   links : int list;  (** The flow's route as topology link ids; each link's source must be the previous link's destination. *)

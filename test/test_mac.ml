@@ -329,7 +329,11 @@ let stats_equal a b = compare (a : Sim.stats) (b : Sim.stats) = 0
    350 m box, a per-node x-offset ruling out coincident points), one to
    four flows over random links — extended to two-hop chains when a
    continuation link exists — demands spanning idle to saturated, both
-   configs, random sim seed and duration. *)
+   carrier-sensing modes, random sim seed and duration.  The DCF fields
+   are drawn too: DIFS of zero slots, windows whose draws are always 0,
+   and retry and queue limits low enough that frames drop, so the fast
+   loop's bulk DIFS and backoff countdown meet every edge the reference
+   steps through slot by slot. *)
 let random_parity_case case =
   let rng = Pcg32.create (Int64.of_int case) in
   let n = 3 + Pcg32.next_below rng 6 in
@@ -362,9 +366,19 @@ let random_parity_case case =
           in
           { Sim.links = route; demand_mbps = demands.(Pcg32.next_below rng 5) })
     in
-    let config =
+    let base =
       if Pcg32.next_below rng 2 = 0 then Dcf_config.default
       else Dcf_config.with_rts_cts Dcf_config.default
+    in
+    let pick a = a.(Pcg32.next_below rng (Array.length a)) in
+    let difs_us = pick [| 0; 9; 34; 100 |] in
+    let cw_min = pick [| 1; 2; 16 |] in
+    let cw_max = cw_min lsl Pcg32.next_below rng 7 in
+    let retry_limit = pick [| 0; 1; 7 |] in
+    let queue_limit = pick [| 1; 4; 64 |] in
+    let payload_bits = pick [| 800; 12_000; 40_000 |] in
+    let config =
+      { base with Dcf_config.difs_us; cw_min; cw_max; retry_limit; queue_limit; payload_bits }
     in
     let duration_us = 20_000 + Pcg32.next_below rng 60_001 in
     let seed = Int64.of_int (1 + Pcg32.next_below rng 1_000_000) in
@@ -457,11 +471,12 @@ let test_event_queue_drain_until () =
   check Alcotest.int "same-batch reschedules drained" 4 !hops;
   check Alcotest.int "first out of horizon kept" 1 (Event_queue.size q2)
 
-(* Two fixed scenarios at the extremes of idle-skipping, each on seeds
+(* Two fixed scenarios at the extremes of slot jumping, each on seeds
    1-3.  Saturated: eight co-located sender/receiver pairs far beyond
-   link capacity, so every slot has contenders and nothing is skipped.
+   link capacity, so every slot has contenders and the loop jumps only
+   the busy periods, where every contender is frozen or counting down.
    Light: one 0.5 Mbit/s flow down an 8-node chain that sits idle
-   between frames, where the fast loop skips almost every slot. *)
+   between frames, where the fast loop jumps almost every slot. *)
 let saturated_pairs () =
   let n_pairs = 8 in
   let topo =
@@ -493,8 +508,8 @@ let check_fixed_parity (topo, flows) ~duration_us () =
 
 module Registry = Wsn_telemetry.Registry
 
-let test_light_chain_skips_idle_slots () =
-  let topo, flows = light_chain () in
+(* [mac.slots_skipped] and [mac.slots] of one seed-1 run. *)
+let skip_counts (topo, flows) ~duration_us =
   Registry.reset ();
   Registry.set_enabled true;
   let snap =
@@ -503,15 +518,29 @@ let test_light_chain_skips_idle_slots () =
         Registry.set_enabled false;
         Registry.reset ())
       (fun () ->
-        ignore (Sim.run ~seed:1L topo ~flows ~duration_us:1_000_000);
+        ignore (Sim.run ~seed:1L topo ~flows ~duration_us);
         Registry.snapshot ())
   in
   let counter n = Option.value ~default:0 (List.assoc_opt n snap.Registry.counters) in
-  let skipped = counter "mac.slots_skipped" and slots = counter "mac.slots" in
+  (counter "mac.slots_skipped", counter "mac.slots")
+
+let test_light_chain_skips_idle_slots () =
+  let skipped, slots = skip_counts (light_chain ()) ~duration_us:1_000_000 in
   check Alcotest.bool
     (Printf.sprintf "skipped %d of %d slots (>= 90%%)" skipped slots)
     true
     (slots > 0 && 10 * skipped >= 9 * slots)
+
+(* Saturated contention: a contender is always waiting, so only the
+   jump over busy periods can fire.  Seed 1 jumps 19111 of 33333 slots
+   (seeds 2 and 3: 17211 and 19125); a loop that jumps only slots with
+   no contender at all jumps 2 of them (seeds 2 and 3: 1 and 0). *)
+let test_saturated_pairs_jump_busy_slots () =
+  let skipped, slots = skip_counts (saturated_pairs ()) ~duration_us:300_000 in
+  check Alcotest.bool
+    (Printf.sprintf "jumped %d of %d slots (>= 50%%)" skipped slots)
+    true
+    (slots > 0 && 2 * skipped >= slots)
 
 let parity_suite =
   [
@@ -521,6 +550,8 @@ let parity_suite =
       (check_fixed_parity (light_chain ()) ~duration_us:1_000_000);
     Alcotest.test_case "light 8-chain skips >= 90%" `Quick
       test_light_chain_skips_idle_slots;
+    Alcotest.test_case "saturated 8 pairs jumps >= 50%" `Quick
+      test_saturated_pairs_jump_busy_slots;
     QCheck_alcotest.to_alcotest qcheck_fast_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_prepared_sharing_is_pure;
     Alcotest.test_case "prepared topology mismatch" `Quick test_prepared_topology_mismatch;
