@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-master master-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-whatif whatif-smoke clean
 
 all:
 	dune build
@@ -13,8 +13,8 @@ CHECK_OUT ?= _build/check
 
 # Tier-1 verification: full build + every test suite (which includes
 # the sweep smoke below; listing it keeps the gate explicit and the
-# second build is a cached no-op).  The scale, soak, master and whatif
-# smokes are not listed: artifacts-check runs the same commands, and
+# second build is a cached no-op).  The scale, soak and whatif smokes
+# are not listed: artifacts-check runs the same commands, and
 # each exits 1 on a failed gate with the failure on stderr.
 check:
 	dune build
@@ -23,15 +23,14 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) artifacts-check
 
-# The seven deterministic artifacts: pure functions of the code (the
+# The six deterministic artifacts: pure functions of the code (the
 # telemetry baseline at seed 30), committed at the repository root.
-ARTIFACTS = BENCH_master_quick.json BENCH_perf_quick.json BENCH_scale_quick.json \
-	BENCH_server_quick.json BENCH_soak_quick.json BENCH_whatif_quick.json BENCH_telemetry.json
+ARTIFACTS = BENCH_perf_quick.json BENCH_scale_quick.json BENCH_server_quick.json \
+	BENCH_soak_quick.json BENCH_whatif_quick.json BENCH_telemetry.json
 
-# $(call gen_artifacts,DIR): regenerate the seven artifacts into DIR.
+# $(call gen_artifacts,DIR): regenerate the six artifacts into DIR.
 define gen_artifacts
 	mkdir -p $(1)
-	dune exec bench/main.exe -- master --quick --out $(1)/BENCH_master_quick.json >/dev/null
 	dune exec bench/main.exe -- perf --quick --out $(1)/BENCH_perf_quick.json >/dev/null
 	dune exec bench/main.exe -- scale --quick --out $(1)/BENCH_scale_quick.json >/dev/null
 	dune exec bench/main.exe -- serve --quick --out $(1)/BENCH_server_quick.json >/dev/null
@@ -67,18 +66,17 @@ artifacts-check:
 	$(call gen_artifacts,$(CHECK_OUT)/artifacts)
 	$(call cmp_artifacts,$(CHECK_OUT)/artifacts,$(ARTIFACTS))
 
-# The six full-mode artifacts, committed beside the quick ones.
-FULL_ARTIFACTS = BENCH_master.json BENCH_perf.json BENCH_scale.json \
-	BENCH_server.json BENCH_soak.json BENCH_whatif.json
+# The five full-mode artifacts, committed beside the quick ones.
+FULL_ARTIFACTS = BENCH_perf.json BENCH_scale.json BENCH_server.json BENCH_soak.json \
+	BENCH_whatif.json
 
 # Full-mode answers-unchanged gate: regenerate the full artifacts into
 # CHECK_OUT and byte-compare each with the committed copy, like
-# artifacts-check.  Minutes, not seconds (the 1000-node scale and
-# master rows), so `make check` does not run it.
+# artifacts-check.  Minutes, not seconds (the 1000-node scale rows),
+# so `make check` does not run it.
 artifacts-check-full:
 	rm -rf $(CHECK_OUT)/artifacts-full
 	mkdir -p $(CHECK_OUT)/artifacts-full
-	dune exec bench/main.exe -- master --out $(CHECK_OUT)/artifacts-full/BENCH_master.json >/dev/null
 	dune exec bench/main.exe -- perf --out $(CHECK_OUT)/artifacts-full/BENCH_perf.json >/dev/null
 	dune exec bench/main.exe -- scale --out $(CHECK_OUT)/artifacts-full/BENCH_scale.json >/dev/null
 	dune exec bench/main.exe -- serve --out $(CHECK_OUT)/artifacts-full/BENCH_server.json >/dev/null
@@ -109,7 +107,7 @@ bench:
 
 # Two-arm perf suite (naive SINR model vs conflict kernel, both on the
 # warm master) on a fixed seed with a reduced workload; finishes in well
-# under 30 s.  Its counter-only artifact is one of the seven that
+# under 30 s.  Its counter-only artifact is one of the six that
 # artifacts-check compares.
 bench-quick:
 	dune exec bench/main.exe -- perf --quick --out BENCH_perf_quick.json
@@ -127,7 +125,9 @@ bench-serve-full:
 # Scale suite: the Eq. 6 availability bracket (heuristic column pricing
 # vs the hard-conflict clique upper bound) at 30/100/300/1000 nodes.
 # Gated: auto-vs-exact wire identity at n=30, bracket soundness on
-# every row, and a certified 300-node row.
+# every row, and a certified 300-node row.  Each row also records the
+# master LP's work on its query (pivots per column, degenerate pivots,
+# appended columns, boxstep widenings, elimination cells).
 bench-scale:
 	dune exec bench/main.exe -- scale --out BENCH_scale.json
 
@@ -151,20 +151,6 @@ bench-soak:
 soak-smoke:
 	mkdir -p $(SMOKE_OUT)
 	dune exec bench/main.exe -- soak --quick --out $(SMOKE_OUT)/BENCH_soak_quick.json
-
-# Master-LP suite: the stabilised column-generation master (Devex
-# pricing, dual stabilisation, degenerate-pivot perturbation) vs the
-# Dantzig/unstabilised reference on the scale scenarios.  Wire identity
-# of the two arms is always gated; the >= 3x pivots-per-column win on
-# the 1000-node light-load row in the full run, which has that row.
-bench-master:
-	dune exec bench/main.exe -- master --out BENCH_master.json
-
-# Same suite at 300 nodes — the wire-identity gate in seconds; `make
-# check` runs it through artifacts-check.
-master-smoke:
-	mkdir -p $(SMOKE_OUT)
-	dune exec bench/main.exe -- master --quick --out $(SMOKE_OUT)/BENCH_master_quick.json
 
 # Whatif suite: demand-scaling what-if queries answered from the warm
 # master's cached optimal basis vs fresh certified re-solves.  Gated:

@@ -389,7 +389,12 @@ module Proto = Wsn_admission.Protocol
    upper on every row; (3) the 300-node row certifies.  The 1000-node
    rows run under an anytime iteration cap: their lower bound is
    uncertified by construction, which the artifact records rather than
-   hides.  Wall time at scale is benchmark/'s eq6-400 workload. *)
+   hides.  Each row's query runs with the telemetry registry isolated
+   around it, so the row also records the master LP's work on exactly
+   that solve: warm-resolve pivots per appended column, degenerate
+   pivots, appended columns ([lp.columns_added]), boxstep widenings and
+   elimination cells.  Wall time at scale is benchmark/'s eq6-400
+   workload. *)
 let scale_bench ~seed ~quick ~out =
   (* Each spec is (n_nodes, per-flow demand override).  The default
      0.5 Mbps workload saturates the 1000-node network (its background
@@ -413,33 +418,55 @@ let scale_bench ~seed ~quick ~out =
   let rows =
     List.map
       (fun (n, demand) ->
+        Registry.reset ();
+        Registry.set_enabled true;
         let r =
           Scale.query ?max_iterations:(cap n) ?demand_mbps:demand ~pricer:Column_gen.Auto
             ~n_nodes:n ~seed ()
         in
+        let snap = Registry.snapshot () in
+        Registry.set_enabled false;
+        Registry.reset ();
+        let counter name = Option.value ~default:0 (List.assoc_opt name snap.Registry.counters) in
+        let resolve_pivots =
+          match List.assoc_opt "lp.pivots_per_resolve" snap.Registry.histograms with
+          | Some d -> d.Registry.sum
+          | None -> 0.0
+        in
+        let lp_columns = counter "lp.columns_added" in
+        let ppc = resolve_pivots /. Float.max 1.0 (float_of_int lp_columns) in
+        let degen = counter "lp.degenerate_pivots" in
+        let lp_fields =
+          Printf.sprintf
+            "\"pivots_per_column\": %.3f, \"degenerate_pivots\": %d, \"lp_columns\": %d, \
+             \"box_widenings\": %d, \"elim_cells\": %d"
+            ppc degen lp_columns
+            (counter "colgen.stab_box_widenings")
+            (counter "lp.elim_cells")
+        in
         Printf.printf
           "  n=%4d demand=%.1f links=%5d universe=%4d shards=%d lower=%.3f upper=%.3f \
-           gap=%.3f certified=%b cols=%d iters=%d\n%!"
+           gap=%.3f certified=%b cols=%d iters=%d ppc=%.3f degen=%d\n%!"
           r.Scale.n_nodes (demand_of demand) r.Scale.n_links r.Scale.universe
           r.Scale.n_shards (Proto.mbps r.Scale.lower_mbps) (Proto.mbps r.Scale.upper_mbps)
           (Proto.mbps r.Scale.gap_mbps) r.Scale.certified r.Scale.columns
-          r.Scale.iterations;
-        (demand_of demand, r))
+          r.Scale.iterations ppc degen;
+        (demand_of demand, r, lp_fields))
       specs
   in
   let exact30 = Scale.query ~pricer:Column_gen.Exact ~n_nodes:30 ~seed () in
-  let auto30 = snd (List.hd rows) in
+  let _, auto30, _ = List.hd rows in
   let wire_identical =
     auto30.Scale.certified
     && Proto.mbps auto30.Scale.lower_mbps = Proto.mbps exact30.Scale.lower_mbps
   in
   let bracket_sound =
     List.for_all
-      (fun (_, r) -> Proto.mbps r.Scale.lower_mbps <= Proto.mbps r.Scale.upper_mbps)
+      (fun (_, r, _) -> Proto.mbps r.Scale.lower_mbps <= Proto.mbps r.Scale.upper_mbps)
       rows
   in
   let certified_300 =
-    List.exists (fun (_, r) -> r.Scale.n_nodes = 300 && r.Scale.certified) rows
+    List.exists (fun (_, r, _) -> r.Scale.n_nodes = 300 && r.Scale.certified) rows
   in
   Printf.printf "  auto = exact at n=30 (wire): %b; bracket sound: %b; n=300 certified: %b\n%!"
     wire_identical bracket_sound certified_300;
@@ -448,16 +475,17 @@ let scale_bench ~seed ~quick ~out =
     quick seed wire_identical;
   Printf.fprintf oc "  \"bracket_sound\": %b,\n  \"rows\": [\n" bracket_sound;
   List.iteri
-    (fun i (demand, r) ->
+    (fun i (demand, r, lp_fields) ->
       Printf.fprintf oc
         "    { \"n_nodes\": %d, \"demand_mbps\": %.3f, \"n_links\": %d, \"n_flows\": %d, \
          \"universe\": %d, \"shards\": %d,\n\
         \      \"lower_mbps\": %.3f, \"upper_mbps\": %.3f, \"gap_mbps\": %.3f, \
          \"certified\": %b,\n\
-        \      \"columns\": %d, \"iterations\": %d }%s\n"
+        \      \"columns\": %d, \"iterations\": %d,\n      %s }%s\n"
         r.Scale.n_nodes demand r.Scale.n_links r.Scale.n_flows r.Scale.universe
         r.Scale.n_shards (Proto.mbps r.Scale.lower_mbps) (Proto.mbps r.Scale.upper_mbps)
         (Proto.mbps r.Scale.gap_mbps) r.Scale.certified r.Scale.columns r.Scale.iterations
+        lp_fields
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -564,145 +592,6 @@ let soak_bench ~seed ~quick ~out =
         Printf.sprintf "churn-epoch rebuilds make only %.2fx the PHY evaluations of patches (< 2x)"
           evals_ratio );
     ]
-
-(* --- master suite: stabilised column generation vs reference simplex - *)
-
-(* Runs the same Eq. 6 scale queries under two master-LP
-   configurations: the shipped stabilised arm (Devex pricing + dual
-   stabilisation + degenerate-pivot perturbation) and the reference
-   arm (Dantzig, unstabilised).  Gated claims: (1) wire identity —
-   both arms quantise to the same Protocol.mbps answer with equal
-   certification on every row, quick and full; (2) full mode only, on
-   the 1000-node light-load row (the degenerate regime the scale suite
-   caps at 40 iterations): the stabilised arm spends >= 3x fewer
-   warm-resolve pivots per generated column.  Every field is a count
-   (pivots, columns, [lp.elim_cells]), so the artifact is a pure
-   function of the seed. *)
-let master_bench ~seed ~quick ~out =
-  let specs = if quick then [ (300, None) ] else [ (300, None); (1000, Some 0.1) ] in
-  let cap n = if n >= 1000 then Some 40 else None in
-  let demand_of d = match d with Some d -> d | None -> 0.5 (* scenario default *) in
-  Printf.printf "master suite: %s mode, seed %Ld, N in {%s}\n%!"
-    (if quick then "quick" else "full")
-    seed
-    (String.concat ", "
-       (List.map (fun (n, d) -> Printf.sprintf "%d@%.1f" n (demand_of d)) specs));
-  let counter_of snap name =
-    Option.value ~default:0 (List.assoc_opt name snap.Registry.counters)
-  in
-  let hist_sum snap name =
-    match List.assoc_opt name snap.Registry.histograms with
-    | Some d -> d.Registry.sum
-    | None -> 0.0
-  in
-  (* One arm of one spec, with the registry isolated around the query
-     so the counters attribute to exactly this solve. *)
-  let arm ~lp_pricing ~stabilize (n, demand) =
-    Registry.reset ();
-    Registry.set_enabled true;
-    let r =
-      Scale.query ?max_iterations:(cap n) ?demand_mbps:demand ~pricer:Column_gen.Auto
-        ~lp_pricing ~stabilize ~n_nodes:n ~seed ()
-    in
-    let snap = Registry.snapshot () in
-    Registry.set_enabled false;
-    Registry.reset ();
-    let resolve_pivots = hist_sum snap "lp.pivots_per_resolve" in
-    let columns = counter_of snap "lp.columns_added" in
-    let ppc = resolve_pivots /. Float.max 1.0 (float_of_int columns) in
-    ( r,
-      ppc,
-      counter_of snap "lp.degenerate_pivots",
-      counter_of snap "colgen.stab_box_widenings",
-      columns,
-      counter_of snap "lp.elim_cells" )
-  in
-  let rows =
-    List.map
-      (fun spec ->
-        let n, demand = spec in
-        let ((stab, stab_ppc, stab_degen, widenings, stab_cols, _) as s) =
-          arm ~lp_pricing:Column_gen.Devex ~stabilize:true spec
-        in
-        let ((refr, ref_ppc, ref_degen, _, ref_cols, _) as r) =
-          arm ~lp_pricing:Column_gen.Dantzig ~stabilize:false spec
-        in
-        Printf.printf
-          "  n=%4d demand=%.1f | stabilised: lower=%.3f certified=%b ppc=%.1f \
-           degen=%d cols=%d widenings=%d | reference: lower=%.3f certified=%b ppc=%.1f \
-           degen=%d cols=%d\n%!"
-          n (demand_of demand)
-          (Proto.mbps stab.Scale.lower_mbps)
-          stab.Scale.certified stab_ppc stab_degen stab_cols widenings
-          (Proto.mbps refr.Scale.lower_mbps)
-          refr.Scale.certified ref_ppc ref_degen ref_cols;
-        (spec, s, r))
-      specs
-  in
-  (* Wire identity is the certified-regime contract: an anytime row
-     truncated at the iteration cap may legitimately stop at different
-     lower bounds under different pivot orders.  Rows where both arms
-     certify must agree exactly at wire precision, and at least one
-     such row must exist (the 300-node row certifies in both modes). *)
-  let certified_rows =
-    List.filter
-      (fun (_, (stab, _, _, _, _, _), (refr, _, _, _, _, _)) ->
-        stab.Scale.certified && refr.Scale.certified)
-      rows
-  in
-  let wire_identical =
-    certified_rows <> []
-    && List.for_all
-         (fun (_, (stab, _, _, _, _, _), (refr, _, _, _, _, _)) ->
-           Proto.mbps stab.Scale.lower_mbps = Proto.mbps refr.Scale.lower_mbps)
-         certified_rows
-  in
-  Printf.printf "  arms wire-identical on the %d certified row(s): %b\n%!"
-    (List.length certified_rows) wire_identical;
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"quick\": %b,\n  \"seed\": %Ld,\n  \"wire_identical_certified\": %b,\n"
-    quick seed wire_identical;
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i ((n, demand), (stab, sppc, sd, widen, scols, selim), (refr, rppc, rd, _, rcols, relim)) ->
-      Printf.fprintf oc
-        "    { \"n_nodes\": %d, \"demand_mbps\": %.3f,\n\
-        \      \"stabilised\": { \"lower_mbps\": %.3f, \"certified\": %b, \
-         \"pivots_per_column\": %.3f, \"degenerate_pivots\": %d, \
-         \"columns\": %d, \"box_widenings\": %d, \"elim_cells\": %d },\n\
-        \      \"reference\": { \"lower_mbps\": %.3f, \"certified\": %b, \
-         \"pivots_per_column\": %.3f, \"degenerate_pivots\": %d, \
-         \"columns\": %d, \"elim_cells\": %d } }%s\n"
-        n (demand_of demand)
-        (Proto.mbps stab.Scale.lower_mbps)
-        stab.Scale.certified sppc sd scols widen selim
-        (Proto.mbps refr.Scale.lower_mbps)
-        refr.Scale.certified rppc rd rcols relim
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  let light_row =
-    if quick then []
-    else
-      match List.find_opt (fun ((n, d), _, _) -> n = 1000 && d <> None) rows with
-      | None -> [ (false, "1000-node light-load row missing from full run") ]
-      | Some (_, (_, sppc, _, _, _, _), (_, rppc, _, _, _, _)) ->
-          let ppc_ratio = if sppc > 0.0 then rppc /. sppc else Float.infinity in
-          Printf.printf "  n=1000 light load: pivots-per-column ratio %.2fx\n%!" ppc_ratio;
-          [
-            ( ppc_ratio >= 3.0,
-              Printf.sprintf "pivots-per-column only %.2fx better than reference (< 3x)"
-                ppc_ratio );
-          ]
-  in
-  failures
-    (( wire_identical,
-       "stabilised arm is not wire-identical to the reference on a certified row (or no row \
-        certified)" )
-    :: light_row)
 
 (* --- whatif suite: basis-reuse predictions vs re-solving ------------ *)
 
@@ -812,12 +701,6 @@ let suites =
       doc = "dynamic scenario, incremental vs rebuilt kernels";
       out = "BENCH_soak.json";
       run = soak_bench;
-    };
-    {
-      name = "master";
-      doc = "stabilised Devex master vs the Dantzig reference";
-      out = "BENCH_master.json";
-      run = master_bench;
     };
     {
       name = "whatif";

@@ -101,33 +101,6 @@ let pricer_of_string s =
   | "auto" -> Wsn_availbw.Column_gen.Auto
   | other -> die exit_usage "unknown pricer %S (have: exact, heuristic, auto)" other
 
-let lp_pricing_of_string s =
-  match s with
-  | "dantzig" -> Wsn_availbw.Column_gen.Dantzig
-  | "devex" -> Wsn_availbw.Column_gen.Devex
-  | other -> die exit_usage "unknown lp pricing %S (have: dantzig, devex)" other
-
-let stabilize_of_string s =
-  match s with
-  | "on" -> true
-  | "off" -> false
-  | other -> die exit_usage "bad --stabilize %S (have: on, off)" other
-
-(* Shared master-LP tuning flags (scale/serve/soak).  Both change only
-   how fast the warm master converges, never what it converges to. *)
-let lp_pricing_arg =
-  let doc =
-    "Warm master simplex pricing: $(b,devex) (default; reference-weight pricing with \
-     degenerate-pivot perturbation) or $(b,dantzig) (the unstabilised reference arm)."
-  in
-  Arg.(value & opt string "devex" & info [ "lp-pricing" ] ~docv:"RULE" ~doc)
-
-let stabilize_arg =
-  let doc =
-    "Dual boxstep stabilisation of heuristic column pricing: $(b,on) (default) or $(b,off)."
-  in
-  Arg.(value & opt string "on" & info [ "stabilize" ] ~docv:"on|off" ~doc)
-
 let e1_cmd =
   let run telem domains = with_common telem domains (fun () -> Wsn_experiments.Scenario1.print ()) in
   Cmd.v (Cmd.info "e1" ~doc:"Scenario I: idle-time estimation vs optimal scheduling")
@@ -378,10 +351,6 @@ let scale_cmd =
     let doc = "Pricing tier: exact, heuristic or auto (default)." in
     Arg.(value & opt string "auto" & info [ "pricer" ] ~docv:"TIER" ~doc)
   in
-  let shards =
-    let doc = "Shard cap for heuristic pricing (0 = one shard per locality component)." in
-    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let max_iterations =
     let doc =
       "Cap on master solves per query (0 = library default).  Heuristic tiers are \
@@ -389,12 +358,9 @@ let scale_cmd =
     in
     Arg.(value & opt int 0 & info [ "max-iterations" ] ~docv:"N" ~doc)
   in
-  let run telem domains seed ns pricer shards max_iterations lp_pricing stabilize =
+  let run telem domains seed ns pricer max_iterations =
     with_common telem domains @@ fun () ->
     let pricer = pricer_of_string pricer in
-    let lp_pricing = lp_pricing_of_string lp_pricing in
-    let stabilize = stabilize_of_string stabilize in
-    if shards < 0 then die exit_usage "--shards must be >= 0 (got %d)" shards;
     if max_iterations < 0 then
       die exit_usage "--max-iterations must be >= 0 (got %d)" max_iterations;
     let ns =
@@ -408,8 +374,7 @@ let scale_cmd =
     in
     if ns = [] then die exit_usage "-n needs at least one size";
     let max_iterations = if max_iterations = 0 then None else Some max_iterations in
-    Wsn_experiments.Scale.print ~ns ?max_iterations ~pricer ~shards ~lp_pricing ~stabilize
-      ~seed ()
+    Wsn_experiments.Scale.print ~ns ?max_iterations ~pricer ~seed ()
   in
   Cmd.v
     (Cmd.info "scale"
@@ -417,8 +382,7 @@ let scale_cmd =
          "E16: bracket Eq. 6 availability on generated 100-1000-node topologies \
           (heuristic column pricing vs the hard-conflict clique upper bound)")
     Term.(
-      const run $ telemetry_arg $ domains_arg $ seed_arg 30L $ ns $ pricer $ shards
-      $ max_iterations $ lp_pricing_arg $ stabilize_arg)
+      const run $ telemetry_arg $ domains_arg $ seed_arg 30L $ ns $ pricer $ max_iterations)
 
 let soak_cmd =
   let epochs =
@@ -449,17 +413,15 @@ let soak_cmd =
     in
     Arg.(value & flag & info [ "rebuild" ] ~doc)
   in
-  let run telem domains seed epochs nodes horizon window pricer lp_pricing stabilize rebuild =
+  let run telem domains seed epochs nodes horizon window pricer rebuild =
     with_common telem domains @@ fun () ->
     if epochs < 1 then die exit_usage "--epochs must be >= 1 (got %d)" epochs;
     if nodes < 2 then die exit_usage "--nodes must be >= 2 (got %d)" nodes;
     if horizon <= 0.0 then die exit_usage "--horizon-h must be > 0 (got %g)" horizon;
     if window < 1 then die exit_usage "--window-us must be >= 1 (got %d)" window;
     let pricer = pricer_of_string pricer in
-    let lp_pricing = lp_pricing_of_string lp_pricing in
-    let stabilize = stabilize_of_string stabilize in
     Wsn_experiments.Soak.print ~seed ~epochs ~n_nodes:nodes ~horizon_h:horizon
-      ~window_us:window ~pricer ~lp_pricing ~stabilize ~rebuild ()
+      ~window_us:window ~pricer ~rebuild ()
   in
   Cmd.v
     (Cmd.info "soak"
@@ -469,7 +431,7 @@ let soak_cmd =
           ground truth, with incremental per-epoch kernel maintenance")
     Term.(
       const run $ telemetry_arg $ domains_arg $ seed_arg 30L $ epochs $ nodes $ horizon
-      $ window $ pricer $ lp_pricing_arg $ stabilize_arg $ rebuild)
+      $ window $ pricer $ rebuild)
 
 let whatif_cmd =
   let factors =
@@ -606,12 +568,7 @@ let serve_cmd =
     in
     Arg.(value & opt string "exact" & info [ "pricer" ] ~docv:"TIER" ~doc)
   in
-  let shards =
-    let doc = "Shard cap for heuristic pricing (0 = one shard per locality component)." in
-    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let run telem domains seed socket client gen_trace cold batch metric pricer shards
-      lp_pricing stabilize max_conns =
+  let run telem domains seed socket client gen_trace cold batch metric pricer max_conns =
     with_common telem domains @@ fun () ->
     match gen_trace with
     | Some n ->
@@ -628,9 +585,6 @@ let serve_cmd =
       in
       if batch < 1 then die exit_usage "--batch must be >= 1 (got %d)" batch;
       let pricer = pricer_of_string pricer in
-      let lp_pricing = lp_pricing_of_string lp_pricing in
-      let stabilize = stabilize_of_string stabilize in
-      if shards < 0 then die exit_usage "--shards must be >= 0 (got %d)" shards;
       (match max_conns with
        | Some n when n < 1 -> die exit_usage "--max-conns must be >= 1 (got %d)" n
        | Some _ | None -> ());
@@ -654,14 +608,13 @@ let serve_cmd =
         match socket with
         | None ->
           let session =
-            Wsn_admission.Session.create ~metric ~pricer ~shards ~lp_pricing ~stabilize
-              ~mode ~topo ~model ()
+            Wsn_admission.Session.create ~metric ~pricer ~mode ~topo ~model ()
           in
           Wsn_admission.Server.run_stdio ~session ~batch Unix.stdin Unix.stdout
         | Some path ->
           let make_session () =
-            Wsn_admission.Session.create ~metric ~pricer ~shards ~lp_pricing ~stabilize
-              ~mode ~topo ~model:(Wsn_conflict.Model.fork_view model) ()
+            Wsn_admission.Session.create ~metric ~pricer ~mode ~topo
+              ~model:(Wsn_conflict.Model.fork_view model) ()
           in
           Wsn_admission.Server.run_socket ~make_session ~batch ?max_conns ~path ()))
   in
@@ -672,8 +625,7 @@ let serve_cmd =
           Unix socket, warm-started LP queries against a resident topology")
     Term.(
       const run $ telemetry_arg $ domains_arg $ seed_arg 30L $ socket $ client $ gen_trace
-      $ cold $ batch $ metric $ pricer $ shards $ lp_pricing_arg $ stabilize_arg
-      $ max_conns)
+      $ cold $ batch $ metric $ pricer $ max_conns)
 
 let () =
   let doc = "Reproduction of 'Available Bandwidth in Multirate and Multihop WSNs' (ICDCS'09)" in

@@ -91,9 +91,7 @@ let maximal_cliques_at model ~links ~rate_of =
   bron_kerbosch ~n ~adj ~emit:(fun vs -> acc := List.sort compare (List.map (fun i -> arr.(i)) vs) :: !acc);
   List.rev !acc
 
-let default_max_cliques = 100_000
-
-let maximal_rate_coupled_cliques ?(max_cliques = default_max_cliques) model ~universe =
+let maximal_rate_coupled_cliques model ~universe =
   let couples = Array.of_list (candidate_couples model ~universe) in
   let n = Array.length couples in
   let adj =
@@ -105,12 +103,12 @@ let maximal_rate_coupled_cliques ?(max_cliques = default_max_cliques) model ~uni
   let acc = ref [] in
   bron_kerbosch ~n ~adj ~emit:(fun vs ->
       incr count;
-      if !count > max_cliques then failwith "Clique.maximal_rate_coupled_cliques: too many cliques";
+      if !count > 100_000 then failwith "Clique.maximal_rate_coupled_cliques: too many cliques";
       acc := List.sort compare (List.map (fun i -> couples.(i)) vs) :: !acc);
   List.rev !acc
 
-let with_maximum_rates ?max_cliques model ~universe =
-  let maximal = maximal_rate_coupled_cliques ?max_cliques model ~universe in
+let with_maximum_rates model ~universe =
+  let maximal = maximal_rate_coupled_cliques model ~universe in
   let is_max_rates clique =
     not
       (List.exists

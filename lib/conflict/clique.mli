@@ -24,12 +24,12 @@ val maximal_cliques_at : Model.t -> links:int list -> rate_of:(int -> Wsn_radio.
     at [rate_of] (Bron–Kerbosch with pivoting).  Returned as ascending
     link lists. *)
 
-val maximal_rate_coupled_cliques : ?max_cliques:int -> Model.t -> universe:int list -> couple list list
+val maximal_rate_coupled_cliques : Model.t -> universe:int list -> couple list list
 (** All maximal cliques over couples of [universe] links with their
     alone-achievable rates.
-    @raise Failure beyond [max_cliques] (default 100000). *)
+    @raise Failure beyond 100000 cliques. *)
 
-val with_maximum_rates : ?max_cliques:int -> Model.t -> universe:int list -> couple list list
+val with_maximum_rates : Model.t -> universe:int list -> couple list list
 (** The maximal cliques with maximum rates (§3.1): maximal cliques [c]
     such that raising any single couple's rate to a faster
     alone-achievable one never yields another maximal clique. *)

@@ -21,7 +21,7 @@ let m_shards_priced = Telemetry.counter "pricing.heuristic_shards"
    stitch re-validates under the full SINR model, so leakage never
    produces an infeasible column — at worst a stitched link is
    dropped). *)
-let shards model ?(max_shards = 0) universe =
+let shards model universe =
   let universe = List.sort_uniq compare universe in
   match (Model.kernel model, universe) with
   | None, _ | _, [] ->
@@ -75,37 +75,7 @@ let shards model ?(max_shards = 0) universe =
          Hashtbl.add comp_of_root r [ links.(i) ];
          order := r :: !order)
     done;
-    let comps = List.map (Hashtbl.find comp_of_root) (List.sort compare !order) in
-    if max_shards <= 0 || List.length comps <= max_shards then comps
-    else begin
-      (* Balanced grouping: biggest component first into the currently
-         lightest bin (ties: lowest bin), then bins ordered by minimum
-         link — deterministic for a fixed universe. *)
-      let sized = List.map (fun c -> (List.length c, c)) comps in
-      let sorted =
-        List.sort
-          (fun (na, ca) (nb, cb) ->
-            if na <> nb then compare nb na else compare (List.hd ca) (List.hd cb))
-          sized
-      in
-      let bins = Array.make max_shards [] in
-      let loads = Array.make max_shards 0 in
-      List.iter
-        (fun (sz, c) ->
-          let best = ref 0 in
-          for b = 1 to max_shards - 1 do
-            if loads.(b) < loads.(!best) then best := b
-          done;
-          bins.(!best) <- c :: bins.(!best);
-          loads.(!best) <- loads.(!best) + sz)
-        sorted;
-      Array.to_list bins
-      |> List.filter_map (fun cs ->
-             match List.sort compare (List.concat cs) with
-             | [] -> None
-             | shard -> Some shard)
-      |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
-    end
+    List.map (Hashtbl.find comp_of_root) (List.sort compare !order)
 
 (* --- feasibility builders ------------------------------------------ *)
 
@@ -189,10 +159,19 @@ let make_builder model ~weights =
 
 (* --- greedy construction and bounded local search ------------------ *)
 
+(* Strict-improvement tolerance of every value comparison. *)
+let eps = 1e-9
+
+(* Local-search bounds: eviction candidates per move, and accepted
+   moves per call. *)
+let evict_width = 8
+
+let max_swaps = 16
+
 (* Value-aware greedy: accept a candidate only when the set's total
    dual value strictly improves (a new link can slow every member
    down, so feasible ≠ profitable). *)
-let greedy_extend ~eps b candidates =
+let greedy_extend b candidates =
   List.iter
     (fun l ->
       let before = b.b_value () in
@@ -205,8 +184,7 @@ let greedy_extend ~eps b candidates =
    used to reconstruct a known-good set minus one member. *)
 let force_build b order = List.iter (fun l -> ignore (b.b_add l : bool)) order
 
-let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
-    ?shards:shard_arg model ~weights ~universe =
+let max_weight_independent ?shards:shard_arg model ~weights ~universe =
   Telemetry.incr m_calls;
   let tbl = Model.rates model in
   let mbps r = Rate.mbps tbl r in
@@ -256,7 +234,7 @@ let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
         Array.map
           (fun order ->
             let b = make_builder model ~weights in
-            greedy_extend ~eps b order;
+            greedy_extend b order;
             Telemetry.incr m_shards_priced;
             b.b_members ())
           shard_orders
@@ -265,7 +243,7 @@ let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
           (fun order ->
             let view = Model.fork_view model in
             let b = make_builder view ~weights in
-            greedy_extend ~eps b order;
+            greedy_extend b order;
             Telemetry.incr m_shards_priced;
             b.b_members ())
           shard_orders
@@ -274,20 +252,20 @@ let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
        in shard order, so residual cross-shard SINR leakage can only
        drop a link, never admit an infeasible column. *)
     let b = ref (make_builder model ~weights) in
-    Array.iter (fun picks -> greedy_extend ~eps !b picks) shard_picks;
+    Array.iter (fun picks -> greedy_extend !b picks) shard_picks;
     (* One global pass catches candidates freed by dropped links. *)
-    greedy_extend ~eps !b candidates;
+    greedy_extend !b candidates;
     (* Bounded 1-out/greedy-in local search: evict one member, rebuild
        the rest, refill greedily; adopt the first strict improvement
        and repeat.  Each trial uses a fresh builder, so the undo
-       discipline stays LIFO.  Only the [swap_width]
+       discipline stays LIFO.  Only the [evict_width]
        lowest-contribution members are eviction candidates (evicting a
        high-value member rarely pays), and the accepted-move budget
-       [swap_passes * swap_width] bounds the wall time: each trial is
+       [max_swaps] bounds the wall time: each trial is
        O(|universe| · |set|), independent of how large the greedy set
        grew. *)
-    let budget = ref (swap_passes * swap_width) in
-    let continue_ = ref (!budget > 0) in
+    let budget = ref max_swaps in
+    let continue_ = ref true in
     while !continue_ do
       continue_ := false;
       let value = (!b).b_value () in
@@ -297,7 +275,7 @@ let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
         |> List.map (fun (l, r) -> (weights l *. mbps r, l))
         |> List.sort (fun (va, la) (vb, lb) ->
                if va <> vb then Float.compare va vb else compare la lb)
-        |> List.filteri (fun i _ -> i < swap_width)
+        |> List.filteri (fun i _ -> i < evict_width)
         |> List.map snd
       in
       let rec try_evict = function
@@ -306,7 +284,7 @@ let max_weight_independent ?(eps = 1e-9) ?(swap_passes = 2) ?(swap_width = 8)
           let keep = List.filter (fun l -> l <> out) members in
           let trial = make_builder model ~weights in
           force_build trial keep;
-          greedy_extend ~eps trial
+          greedy_extend trial
             (List.filter (fun l -> not (List.mem l keep)) candidates);
           if trial.b_value () > value +. eps then begin
             Telemetry.incr m_swaps;

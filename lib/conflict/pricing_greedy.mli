@@ -35,19 +35,15 @@
     and {!Wsn_parallel.Pool.map} delivers in input order regardless of
     scheduling. *)
 
-val shards : Model.t -> ?max_shards:int -> int list -> int list list
+val shards : Model.t -> int list -> int list list
 (** [shards model universe] partitions [universe] into connected
     components of the carrier-sense interaction graph (two links
     interact when any endpoint pair is within
     {!Wsn_radio.Phy.cs_range}), each sorted ascending, ordered by
-    minimum link.  [max_shards > 0] additionally groups components
-    into at most that many balanced shards.  Models without a kernel
-    (no geometry) yield a single shard. *)
+    minimum link.  Models without a kernel (no geometry) yield a single
+    shard. *)
 
 val max_weight_independent :
-  ?eps:float ->
-  ?swap_passes:int ->
-  ?swap_width:int ->
   ?shards:int list list ->
   Model.t ->
   weights:(int -> float) ->
@@ -58,10 +54,9 @@ val max_weight_independent :
     within [universe].  Returns the assignment with its exact value
     (computed under the model, so it can be compared against the dual
     threshold), or [None] when no positive-weight candidate yields a
-    non-empty set.  The local search tries evicting only the
-    [swap_width] (default 8) lowest-contribution members and accepts
-    at most [swap_passes * swap_width] (default 2·8) improving moves;
-    [eps] (default 1e-9) is the strict-improvement tolerance.
+    non-empty set.  The local search tries evicting only the 8
+    lowest-contribution members and accepts at most 16 improving
+    moves; every value comparison is strict up to [1e-9].
     [shards], when given, must be a partition of (a superset of) the
     universe as produced by {!shards}. *)
 

@@ -61,14 +61,14 @@ let clique_upper model ~background ~path =
   end
 
 (* Cartesian product of per-link rate options, with an explosion guard. *)
-let rate_vectors model ~universe ~limit =
+let rate_vectors model ~universe =
   let options = List.map (fun l -> (l, Model.alone_rates model l)) universe in
   if List.exists (fun (_, rs) -> rs = []) options then None
   else begin
     let total =
       List.fold_left (fun acc (_, rs) -> acc * List.length rs) 1 options
     in
-    if total > limit then failwith "Bounds.upper_eq9: too many rate vectors";
+    if total > 100_000 then failwith "Bounds.upper_eq9: too many rate vectors";
     let rec expand = function
       | [] -> [ [] ]
       | (l, rs) :: rest ->
@@ -78,10 +78,10 @@ let rate_vectors model ~universe ~limit =
     Some (expand options)
   end
 
-let upper_eq9 ?(max_rate_vectors = 100_000) model ~background ~path =
+let upper_eq9 model ~background ~path =
   let universe = List.sort_uniq compare (Flow.union_links background @ path) in
   let tbl = Model.rates model in
-  match rate_vectors model ~universe ~limit:max_rate_vectors with
+  match rate_vectors model ~universe with
   | None -> None (* a demanded link supports no rate *)
   | Some vectors ->
     let lp = Problem.create ~name:"upper-eq9" Types.Maximize in

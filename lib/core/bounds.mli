@@ -32,7 +32,6 @@ val clique_upper :
     @raise Invalid_argument on an empty path. *)
 
 val upper_eq9 :
-  ?max_rate_vectors:int ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
   path:int list ->
@@ -42,8 +41,8 @@ val upper_eq9 :
     constraints of its rate vector [R_i], covering background demands
     plus [f] along [path].  Enumerates all [Z^L] rate vectors of the
     union's links.  [None] when the background is infeasible.
-    @raise Failure when more than [max_rate_vectors] (default 100000)
-    vectors would be enumerated. *)
+    @raise Failure when more than 100000 vectors would be
+    enumerated. *)
 
 val lower_bound_restricted :
   ?max_sets:int ->

@@ -37,15 +37,6 @@ let m_whatif_repivots = Telemetry.counter "colgen.whatif_repivots"
 
 type pricer = Exact | Heuristic | Auto
 
-(* Master-LP pricing rule, re-exported so callers need no dependency on
-   Wsn_lp.  [Dantzig] is the unstabilised reference arm: textbook
-   pricing and no right-hand-side perturbation. *)
-type lp_pricing = Dantzig | Devex
-
-let tableau_options = function
-  | Dantzig -> (Wsn_lp.Tableau.Dantzig, false)
-  | Devex -> (Wsn_lp.Tableau.Devex, true)
-
 let auto_exact_max = 128
 
 (* Columns a heuristic pricing round may batch before the master
@@ -161,8 +152,7 @@ let read_duals (s : Problem.solution) ~nu =
 let total_shortfall (s : Problem.solution) shortfall =
   Array.fold_left (fun acc v -> acc +. s.Problem.values v) 0.0 shortfall
 
-let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
-    ?(lp_pricing = Devex) ?(stabilize = true) ?pool model ~background ~path =
+let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~background ~path =
   if path = [] then invalid_arg "Column_gen: empty path";
   if List.length (List.sort_uniq compare path) <> List.length path then
     invalid_arg "Column_gen: repeated link in path";
@@ -218,7 +208,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
       (match pricer with
        | Exact -> None
        | Heuristic | Auto ->
-         (match Pricing_greedy.shards model ~max_shards:shards universe with
+         (match Pricing_greedy.shards model universe with
           | [] | [ _ ] -> None
           | ss -> Some ss))
   in
@@ -343,7 +333,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
      the true duals the round is exactly the unstabilised one, whose
      verdict — including the exact fallback's certificate — stands.
      The exact tier never sees smoothed duals. *)
-  let stab_active = stabilize && pricer <> Exact in
+  let stab_active = pricer <> Exact in
   let stab_centre = ref None in
   let stab_delta = ref 0.125 in
   let price_smoothed ~sigma ~weights ~smoothed =
@@ -433,8 +423,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
        previous (still feasible) basis — phase 2 only, no rebuild. *)
     let lp, f, lambda_seed, shortfall = build_master ~columns:seed ~u ~uindex ~loads ~path in
     Telemetry.incr m_lp_resolves;
-    let pricing, perturb = tableau_options lp_pricing in
-    match Problem.solve_warm ~pricing ~perturb lp with
+    match Problem.solve_warm lp with
     | (Problem.Infeasible | Problem.Unbounded), _ | _, None ->
       failwith "Column_gen: master must be feasible and bounded"
     | Problem.Solution s0, Some w ->
@@ -513,11 +502,8 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?(shards = 0)
   in
   Wsn_telemetry.Span.with_span "colgen.available" run
 
-let available ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ?pool model ~background
-    ~path =
-  fst
-    (available_sens ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ?pool model
-       ~background ~path)
+let available ?max_iterations ?pricer ?pool model ~background ~path =
+  fst (available_sens ?max_iterations ?pricer ?pool model ~background ~path)
 
 (* {1 Congestion pricing and what-if queries}
 

@@ -15,11 +15,13 @@
     and kept warm: every later round resumes the simplex from the
     previous basis.
 
-    Two entry points share one loop and one set of optional arguments:
-    {!available} answers the query, {!available_sens} additionally
-    returns the certified optimum's dual view.  The exact-fallback
-    ceiling {!auto_exact_max} and the heuristic batch size are
-    constants, not settings. *)
+    Two entry points share one loop and three optional arguments
+    ([max_iterations], [pricer], [pool]): {!available} answers the
+    query, {!available_sens} additionally returns the certified
+    optimum's dual view.  The master's simplex rule, the dual
+    stabilisation, the exact-fallback ceiling {!auto_exact_max} and the
+    heuristic batch size are fixed, not settings: none of them changes
+    the optimum. *)
 
 type result = {
   bandwidth_mbps : float;
@@ -52,21 +54,16 @@ type pricer =
           heuristic's lower bound.  Bracket it from above with
           {!Bounds.clique_upper}. *)
 
-type lp_pricing =
-  | Dantzig
-      (** Unstabilised reference arm: textbook Dantzig pricing in the
-          master's warm resolves, no right-hand-side perturbation. *)
-  | Devex
-      (** Devex reference-weight pricing with candidate-list partial
-          pricing, plus degenerate-pivot perturbation (with an exact
-          clean-up) in the warm resolves — the default, and far cheaper
-          on large degenerate cover masters.  Same optimum either
-          way. *)
+(** {b Master simplex.}  The master's warm resolves run Devex
+    reference-weight pricing with candidate-list partial pricing, plus
+    degenerate-pivot perturbation with an exact clean-up
+    ({!Wsn_lp.Problem.solve_warm}): far cheaper than textbook Dantzig
+    pricing on large degenerate cover masters, and the same optimum.
 
-(** {b Dual stabilisation.}  With [~stabilize:true] (the default) and a
-    heuristic tier, pricing rounds see the true duals clamped into a
-    boxstep trust region around a stability centre (the duals of the
-    last round that priced an improving column).  Candidates found
+    {b Dual stabilisation.}  Under a heuristic tier, pricing rounds see
+    the true duals clamped into a boxstep trust region around a
+    stability centre (the duals of the last round that priced an
+    improving column).  Candidates found
     under the smoothed duals are re-valued under the {e true} duals and
     appended only while genuinely improving, so the master optimum and
     all certification semantics are exactly those of the unstabilised
@@ -116,9 +113,6 @@ val pool_size : pool -> int
 val available :
   ?max_iterations:int ->
   ?pricer:pricer ->
-  ?shards:int ->
-  ?lp_pricing:lp_pricing ->
-  ?stabilize:bool ->
   ?pool:pool ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
@@ -136,12 +130,9 @@ val available :
     resumes the simplex from the previous basis — phase 2 only, no
     rebuild.
 
-    [pricer] (default {!Exact}) selects the pricing tier; [shards]
-    (default 0 = one shard per carrier-sense locality component) caps
-    the heuristic's shard count.  [lp_pricing] (default {!Devex})
-    selects the master's simplex pricing rule and [stabilize] (default
-    [true]) the dual boxstep — both change only how fast the master
-    converges, never what it converges to.  [pool] additionally seeds
+    [pricer] (default {!Exact}) selects the pricing tier; the
+    heuristic tiers price one shard per carrier-sense locality
+    component ({!Wsn_conflict.Pricing_greedy.shards}).  [pool] seeds
     the master from a cross-query {!pool} (columns whose links all lie
     in this query's universe) and records every newly priced
     assignment back into it; a pool must only ever be used with one
@@ -174,9 +165,6 @@ type sensitivity
 val available_sens :
   ?max_iterations:int ->
   ?pricer:pricer ->
-  ?shards:int ->
-  ?lp_pricing:lp_pricing ->
-  ?stabilize:bool ->
   ?pool:pool ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->

@@ -29,13 +29,13 @@ let max_clique_time model ~universe ~throughput ~rate_of =
   in
   { rate_of; max_clique_time; worst_clique }
 
-let hypothesis_min_max_time ?(max_rate_vectors = 100_000) model ~universe ~throughput =
+let hypothesis_min_max_time model ~universe ~throughput =
   if universe = [] then invalid_arg "Validity.hypothesis_min_max_time: empty universe";
   let options = List.map (fun l -> (l, Model.alone_rates model l)) universe in
   if List.exists (fun (_, rs) -> rs = []) options then
     invalid_arg "Validity.hypothesis_min_max_time: dead link in universe";
   let total = List.fold_left (fun acc (_, rs) -> acc * List.length rs) 1 options in
-  if total > max_rate_vectors then failwith "Validity.hypothesis_min_max_time: too many rate vectors";
+  if total > 100_000 then failwith "Validity.hypothesis_min_max_time: too many rate vectors";
   let rec expand = function
     | [] -> [ [] ]
     | (l, rs) :: rest ->

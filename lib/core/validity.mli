@@ -32,7 +32,6 @@ val max_clique_time :
     @raise Invalid_argument when [universe] is empty. *)
 
 val hypothesis_min_max_time :
-  ?max_rate_vectors:int ->
   Wsn_conflict.Model.t ->
   universe:int list ->
   throughput:(int -> float) ->
@@ -41,4 +40,4 @@ val hypothesis_min_max_time :
     vectors of the maximum clique time, with the minimising vector.
     The hypothesis holds for [throughput] iff the result's
     [max_clique_time ≤ 1]; Scenario II's optimum yields 1.05.
-    @raise Failure beyond [max_rate_vectors] (default 100000) vectors. *)
+    @raise Failure beyond 100000 rate vectors. *)

@@ -93,9 +93,8 @@ let draw_seed g =
 
 type live_flow = { source : int; target : int; demand_mbps : float }
 
-let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?max_iterations ?lp_pricing
-    ?stabilize ?(window_us = 1_000_000) ?(metric = Metrics.E2e_transmission_delay)
-    ?(track = true) (sc : Scenario.t) =
+let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?(window_us = 1_000_000)
+    ?(metric = Metrics.E2e_transmission_delay) ?(track = true) (sc : Scenario.t) =
   let n = sc.Scenario.params.Scenario.n_nodes in
   let phy = Topology.phy sc.Scenario.base in
   let gmac = Streams.stream (Streams.create sc.Scenario.seed) "soak-mac" in
@@ -218,8 +217,7 @@ let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?max_iterations ?lp_pr
               in
               let result, lp_s =
                 time (fun () ->
-                    Column_gen.available ?max_iterations ~pricer ?lp_pricing
-                      ?stabilize ~pool model ~background ~path)
+                    Column_gen.available ~pricer ~pool model ~background ~path)
               in
               Registry.observe sp_lp lp_s;
               let truth, certified, cols, pooled =

@@ -63,9 +63,6 @@ type t = {
 val run :
   ?mode:prepare_mode ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?max_iterations:int ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   ?window_us:int ->
   ?metric:Wsn_routing.Metrics.t ->
   ?track:bool ->
@@ -76,9 +73,7 @@ val run :
     epoch, transmission-delay routing).  MAC seeds come from the
     scenario master seed's "soak-mac" stream, so the whole run — rows,
     digests, artifact — is a deterministic function of [(sc, options)]
-    and is identical under both prepare modes.  [lp_pricing] and
-    [stabilize] tune the per-epoch master simplex (see
-    {!Wsn_availbw.Column_gen.available}) without changing any row.
+    and is identical under both prepare modes.
 
     [~track:false] replays only the world and its kernel maintenance —
     no routing, LP or MAC, every row untracked — isolating the

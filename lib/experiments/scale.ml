@@ -28,8 +28,8 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let query ?max_iterations ?(pricer = Column_gen.Auto) ?(shards = 0) ?lp_pricing ?stabilize
-    ?n_flows ?demand_mbps ~n_nodes ~seed () =
+let query ?max_iterations ?(pricer = Column_gen.Auto) ?n_flows ?demand_mbps ~n_nodes ~seed
+    () =
   let sc = Scenarios.Scale_scenario.generate ?n_flows ?demand_mbps ~n_nodes ~seed () in
   let topo = sc.Scenarios.Scale_scenario.topology in
   let model = sc.Scenarios.Scale_scenario.model in
@@ -53,11 +53,10 @@ let query ?max_iterations ?(pricer = Column_gen.Auto) ?(shards = 0) ?lp_pricing 
        network as background. *)
     let background = List.map (fun (p, dem) -> Flow.make ~path:p ~demand_mbps:dem) rest in
     let universe = List.sort_uniq compare (Flow.union_links background @ path) in
-    let n_shards = List.length (Pricing_greedy.shards model ~max_shards:shards universe) in
+    let n_shards = List.length (Pricing_greedy.shards model universe) in
     let result, seconds =
       time (fun () ->
-          Column_gen.available ?max_iterations ~pricer ~shards ?lp_pricing ?stabilize model
-            ~background ~path)
+          Column_gen.available ?max_iterations ~pricer model ~background ~path)
     in
     let upper_mbps = Bounds.clique_upper model ~background ~path in
     let lower_mbps, certified, columns, iterations =
@@ -84,15 +83,13 @@ let query ?max_iterations ?(pricer = Column_gen.Auto) ?(shards = 0) ?lp_pricing 
       seconds;
     }
 
-let run ?(ns = [ 30; 100; 300; 1000 ]) ?max_iterations ?pricer ?shards ?lp_pricing
-    ?stabilize ?n_flows ?demand_mbps ~seed () =
+let run ?(ns = [ 30; 100; 300; 1000 ]) ?max_iterations ?pricer ?n_flows ?demand_mbps ~seed
+    () =
   List.map
-    (fun n_nodes ->
-      query ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ?n_flows ?demand_mbps
-        ~n_nodes ~seed ())
+    (fun n_nodes -> query ?max_iterations ?pricer ?n_flows ?demand_mbps ~n_nodes ~seed ())
     ns
 
-let print ?ns ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ~seed () =
+let print ?ns ?max_iterations ?pricer ~seed () =
   Printf.printf
     "# E16: Eq. 6 availability bracket at scale (heuristic pricing tier)\n";
   Printf.printf "%7s %7s %6s %9s %7s %10s %10s %9s %10s %6s %8s\n" "nodes" "links"
@@ -102,4 +99,4 @@ let print ?ns ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ~seed () =
       Printf.printf "%7d %7d %6d %9d %7d %10.3f %10.3f %9.3f %10b %6d %8.2f\n" r.n_nodes
         r.n_links r.n_flows r.universe r.n_shards r.lower_mbps r.upper_mbps r.gap_mbps
         r.certified r.columns r.seconds)
-    (run ?ns ?max_iterations ?pricer ?shards ?lp_pricing ?stabilize ~seed ())
+    (run ?ns ?max_iterations ?pricer ~seed ())

@@ -30,9 +30,6 @@ type row = {
 val query :
   ?max_iterations:int ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?shards:int ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   ?n_flows:int ->
   ?demand_mbps:float ->
   n_nodes:int ->
@@ -40,22 +37,16 @@ val query :
   unit ->
   row
 (** One bracketed availability query on a generated [n_nodes]-node
-    scenario.  [pricer] defaults to [Auto]; [shards] caps the
-    heuristic's shard count (0 = natural locality partition).
-    [max_iterations] bounds the master solves — under a heuristic tier
-    the query is anytime, so a cap trades wall time for bracket gap
-    (the lower side stays a valid bound, merely uncertified).
-    [lp_pricing]/[stabilize] tune the master simplex (see
-    {!Wsn_availbw.Column_gen.available}) without changing any reported
-    bound.  Deterministic in [seed] apart from [seconds]. *)
+    scenario.  [pricer] defaults to [Auto].  [max_iterations] bounds
+    the master solves — under a heuristic tier the query is anytime, so
+    a cap trades wall time for bracket gap (the lower side stays a
+    valid bound, merely uncertified).  Deterministic in [seed] apart
+    from [seconds]. *)
 
 val run :
   ?ns:int list ->
   ?max_iterations:int ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?shards:int ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   ?n_flows:int ->
   ?demand_mbps:float ->
   seed:int64 ->
@@ -67,9 +58,6 @@ val print :
   ?ns:int list ->
   ?max_iterations:int ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?shards:int ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   seed:int64 ->
   unit ->
   unit

@@ -5,8 +5,8 @@ module Estimators = Wsn_availbw.Estimators
 
 let default_seed = 30L
 
-let compute ?(seed = default_seed) ?epochs ?n_nodes ?horizon_h ?window_us
-    ?pricer ?lp_pricing ?stabilize ?(rebuild = false) () =
+let compute ?(seed = default_seed) ?epochs ?n_nodes ?horizon_h ?window_us ?pricer
+    ?(rebuild = false) () =
   let d = Scenario.default in
   let params =
     {
@@ -18,19 +18,15 @@ let compute ?(seed = default_seed) ?epochs ?n_nodes ?horizon_h ?window_us
   in
   let sc = Scenario.generate ~params ~seed () in
   let mode = if rebuild then Dsoak.Rebuild else Dsoak.Incremental in
-  Dsoak.run ~mode ?pricer ?lp_pricing ?stabilize ?window_us sc
+  Dsoak.run ~mode ?pricer ?window_us sc
 
 let kernel_op_label = function
   | Dsoak.Reused -> "reuse"
   | Dsoak.Rebuilt -> "build"
   | Dsoak.Patched -> "patch"
 
-let print ?seed ?epochs ?n_nodes ?horizon_h ?window_us ?pricer ?lp_pricing ?stabilize
-    ?rebuild () =
-  let t =
-    compute ?seed ?epochs ?n_nodes ?horizon_h ?window_us ?pricer ?lp_pricing ?stabilize
-      ?rebuild ()
-  in
+let print ?seed ?epochs ?n_nodes ?horizon_h ?window_us ?pricer ?rebuild () =
+  let t = compute ?seed ?epochs ?n_nodes ?horizon_h ?window_us ?pricer ?rebuild () in
   let sc = t.Dsoak.scenario in
   Printf.printf
     "# E17: dynamic soak — online estimators vs warm-LP truth (probe %d -> %d, %d epochs / %.1f h)\n"

@@ -13,8 +13,6 @@ val compute :
   ?horizon_h:float ->
   ?window_us:int ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   ?rebuild:bool ->
   unit ->
   Wsn_dynamics.Soak.t
@@ -30,8 +28,6 @@ val print :
   ?horizon_h:float ->
   ?window_us:int ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   ?rebuild:bool ->
   unit ->
   unit

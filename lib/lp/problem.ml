@@ -193,9 +193,9 @@ let solve t =
   outcome_of_result ~n_user:t.nconstrs ~enc ~flip ~const_term ~extra:[]
     (Tableau.solve ~a ~b ~c ~senses)
 
-let solve_warm ?pricing ?perturb t =
+let solve_warm t =
   let a, b, c, senses, enc, flip, const_term = build t in
-  let result, state = Tableau.solve_open ?pricing ?perturb ~a ~b ~c ~senses () in
+  let result, state = Tableau.solve_open ~a ~b ~c ~senses () in
   let outcome = outcome_of_result ~n_user:t.nconstrs ~enc ~flip ~const_term ~extra:[] result in
   let warm =
     Option.map

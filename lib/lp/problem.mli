@@ -65,12 +65,12 @@ type warm
     variable at a time without rebuilding or re-solving from scratch
     (see {!Tableau.add_column}). *)
 
-val solve_warm :
-  ?pricing:Tableau.pricing -> ?perturb:bool -> t -> outcome * warm option
+val solve_warm : t -> outcome * warm option
 (** As {!solve}, additionally returning a warm handle when the problem
     is optimal ([None] otherwise).  Mutating [t] afterwards does not
-    affect the handle.  [pricing]/[perturb] govern every {!resolve} on
-    the handle (see {!Tableau.solve_open}). *)
+    affect the handle.  Every {!resolve} on the handle runs Devex
+    pricing with degenerate-pivot perturbation ({!Tableau.solve_open}'s
+    defaults) and returns exact optima of the unperturbed problem. *)
 
 val add_column : warm -> ?obj:float -> (int * float) list -> var
 (** [add_column w terms] appends a fresh variable with bounds [0 ≤ x],

@@ -41,9 +41,6 @@ type t = {
   model : Model.t;
   metric : Metrics.t;
   pricer : Column_gen.pricer;  (* Warm pricing tier; Cold ignores it *)
-  shards : int;
-  lp_pricing : Column_gen.lp_pricing;  (* Warm master simplex rule *)
-  stabilize : bool;  (* Warm dual boxstep *)
   pool : Column_gen.pool option;  (* [Some] iff Warm *)
   (* Warm transcript memo: (ordered background, path) ↦ availability.
      Keys are exact, so a hit replays a computation the cold mode would
@@ -72,17 +69,14 @@ let count t key =
 
 let bump t key = incr (count t key)
 
-let create ?(metric = Metrics.Average_e2e_delay) ?(pricer = Column_gen.Exact) ?(shards = 0)
-    ?(lp_pricing = Column_gen.Devex) ?(stabilize = true) ~mode ~topo ~model () =
+let create ?(metric = Metrics.Average_e2e_delay) ?(pricer = Column_gen.Exact) ~mode ~topo
+    ~model () =
   {
     smode = mode;
     topo;
     model;
     metric;
     pricer;
-    shards;
-    lp_pricing;
-    stabilize;
     pool = (match mode with Warm -> Some (Column_gen.create_pool ()) | Cold -> None);
     answers = Hashtbl.create 64;
     sens = None;
@@ -156,8 +150,7 @@ let availability_of t ~bg ~path =
       Some v
     | None -> (
       match
-        Column_gen.available ~pricer:t.pricer ~shards:t.shards ~lp_pricing:t.lp_pricing
-          ~stabilize:t.stabilize ?pool:t.pool t.model ~background:bg ~path
+        Column_gen.available ~pricer:t.pricer ?pool:t.pool t.model ~background:bg ~path
       with
       | Some r ->
         Hashtbl.replace t.answers key r.Column_gen.bandwidth_mbps;
@@ -181,8 +174,7 @@ let sens_for t ~bg ~path =
     | Some (k, s) when String.equal k key -> Some s
     | _ ->
       let r, s =
-        Column_gen.available_sens ~pricer:t.pricer ~shards:t.shards ~lp_pricing:t.lp_pricing
-          ~stabilize:t.stabilize ?pool:t.pool t.model ~background:bg ~path
+        Column_gen.available_sens ~pricer:t.pricer ?pool:t.pool t.model ~background:bg ~path
       in
       (match r with
        | Some res -> Hashtbl.replace t.answers key res.Column_gen.bandwidth_mbps

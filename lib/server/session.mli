@@ -47,9 +47,6 @@ type t
 val create :
   ?metric:Wsn_routing.Metrics.t ->
   ?pricer:Wsn_availbw.Column_gen.pricer ->
-  ?shards:int ->
-  ?lp_pricing:Wsn_availbw.Column_gen.lp_pricing ->
-  ?stabilize:bool ->
   mode:mode ->
   topo:Wsn_net.Topology.t ->
   model:Wsn_conflict.Model.t ->
@@ -59,14 +56,11 @@ val create :
     (default [Average_e2e_delay], the paper's best router) drives path
     selection for admits and queries.  [pricer] (default
     {!Wsn_availbw.Column_gen.Exact}) selects the pricing tier for a
-    [Warm] session's column-generation queries, [shards] its
-    heuristic shard cap; on Fig.-2-scale topologies [Auto] answers
-    byte-identically to [Exact] (the universe stays within the exact
-    fallback's ceiling) while scaling to topologies the exact pricer
-    cannot touch.  [lp_pricing] (default [Devex]) and [stabilize]
-    (default [true]) tune the warm master's simplex — speed only,
-    never the answers.  A [Cold] session ignores all four (full
-    enumeration). *)
+    [Warm] session's column-generation queries; on Fig.-2-scale
+    topologies [Auto] answers byte-identically to [Exact] (the universe
+    stays within the exact fallback's ceiling) while scaling to
+    topologies the exact pricer cannot touch.  A [Cold] session ignores
+    it (full enumeration). *)
 
 val mode : t -> mode
 

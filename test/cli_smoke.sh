@@ -104,27 +104,13 @@ expect_exit 2 "soak --window-us 0 is a usage error" "$BIN" soak --window-us 0
 expect_exit 2 "soak unknown pricer is a usage error" "$BIN" soak --pricer bogus
 expect_exit 2 "soak --domains 0 is a usage error" "$BIN" soak --domains 0
 
-# --- master-LP knobs: validated on every solver-facing subcommand -----
-expect_exit 2 "scale unknown --lp-pricing is a usage error" \
-  "$BIN" scale -n 12 --lp-pricing bogus
-expect_exit 2 "scale bad --stabilize is a usage error" \
-  "$BIN" scale -n 12 --stabilize maybe
-expect_exit 2 "soak unknown --lp-pricing is a usage error" "$BIN" soak --lp-pricing bogus
-expect_exit 2 "soak bad --stabilize is a usage error" "$BIN" soak --stabilize maybe
-expect_exit 2 "serve unknown --lp-pricing is a usage error" \
-  "$BIN" serve --lp-pricing bogus </dev/null
-expect_exit 2 "serve bad --stabilize is a usage error" "$BIN" serve --stabilize maybe </dev/null
-# The knobs tune the master simplex, never the answers: the Dantzig /
-# unstabilised reference must reproduce the default (Devex, stabilised)
-# scale table byte-for-byte once the wall-clock column is stripped.
-strip_secs() { sed -E 's/[0-9]+\.[0-9]{2} *$//' "$1"; }
-expect_exit 0 "scale runs (default master)" "$BIN" scale -n 12 --seed 7
-strip_secs "$T/stdout" > "$T/scale-default.txt"
-expect_exit 0 "scale runs (dantzig, unstabilised)" \
-  "$BIN" scale -n 12 --seed 7 --lp-pricing dantzig --stabilize off
-strip_secs "$T/stdout" > "$T/scale-ref.txt"
-assert "reference master reproduces the default scale table (sans wall time)" \
-  cmp -s "$T/scale-default.txt" "$T/scale-ref.txt"
+# --- scale, and the retired master-LP flags --------------------------
+expect_exit 0 "scale runs" "$BIN" scale -n 12 --seed 7
+# The master LP has one configuration: the flags that once tuned it
+# are unknown options now, even with a formerly valid value.
+expect_exit 2 "scale --lp-pricing is retired" "$BIN" scale -n 12 --lp-pricing devex
+expect_exit 2 "soak --stabilize is retired" "$BIN" soak --stabilize on
+expect_exit 2 "serve --shards is retired" "$BIN" serve --shards 0 </dev/null
 
 # --- whatif: sensitivity engine exit-code policy and determinism ------
 WHATIF=(whatif -n 12 --seed 7)

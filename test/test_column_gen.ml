@@ -312,56 +312,17 @@ let test_anytime_iteration_cap () =
            ~background:[] ~path:S2.path))
 
 let test_shards_partition () =
-  (* Fig. 2 scale: one carrier-sense component (everything is within
-     cs range of something); capping cannot create empty shards, and
-     the shards always partition the universe. *)
+  (* The shards always partition the universe. *)
   let model, paths = random_physical_instance 17 in
   let universe = List.sort_uniq compare (List.concat paths) in
   let parts = Pricing_greedy.shards model universe in
   check (Alcotest.list Alcotest.int) "partition covers the universe" universe
     (List.sort compare (List.concat parts));
-  let capped = Pricing_greedy.shards model ~max_shards:2 universe in
-  check Alcotest.bool "capped" true (List.length capped <= 2);
-  check (Alcotest.list Alcotest.int) "capped partition covers too" universe
-    (List.sort compare (List.concat capped));
   (* Kernel-less models have no geometry: a single shard. *)
   let rng = Wsn_prng.Pcg32.create 5L in
   let declared = Hyp.random_model rng ~n_links:4 in
   check Alcotest.int "declared: one shard" 1
     (List.length (Pricing_greedy.shards declared [ 0; 1; 2; 3 ]))
-
-(* Stabilisation and Devex pricing are speed knobs, never answer
-   knobs: on certified instances the stabilised default must match the
-   Dantzig/unstabilised reference through the wire quantisation, under
-   the Auto tier whose heuristic rounds are exactly what the dual box
-   smooths. *)
-let qcheck_stabilised_equals_unstabilised =
-  QCheck.Test.make
-    ~name:"stabilised colgen = unstabilised (wire-identical, certified instances)"
-    ~count:30
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let model, paths = random_physical_instance seed in
-      match paths with
-      | [] | [ _ ] -> QCheck.assume_fail ()
-      | path :: rest ->
-        let background = List.map (fun p -> Flow.make ~path:p ~demand_mbps:0.4) rest in
-        let stab =
-          Column_gen.available ~pricer:Column_gen.Auto ~lp_pricing:Column_gen.Devex
-            ~stabilize:true model ~background ~path
-        in
-        let plain =
-          Column_gen.available ~pricer:Column_gen.Auto ~lp_pricing:Column_gen.Dantzig
-            ~stabilize:false model ~background ~path
-        in
-        (match (stab, plain) with
-         | Some s, Some p ->
-           s.Column_gen.certified = p.Column_gen.certified
-           && (not s.Column_gen.certified
-               || Proto.mbps s.Column_gen.bandwidth_mbps
-                  = Proto.mbps p.Column_gen.bandwidth_mbps)
-         | None, None -> true
-         | _ -> false))
 
 let heuristic_suite =
   [
@@ -369,7 +330,6 @@ let heuristic_suite =
     QCheck_alcotest.to_alcotest qcheck_heuristic_below_exact;
     QCheck_alcotest.to_alcotest qcheck_auto_equals_exact;
     QCheck_alcotest.to_alcotest qcheck_auto_equals_exact_declared;
-    QCheck_alcotest.to_alcotest qcheck_stabilised_equals_unstabilised;
     Alcotest.test_case "heuristic tier lower bound" `Quick
       test_heuristic_tier_uncertified_lower_bound;
     Alcotest.test_case "anytime iteration cap" `Quick test_anytime_iteration_cap;

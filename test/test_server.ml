@@ -24,9 +24,9 @@ let small_world seed =
   let topo = Generator.connected_topology (Pcg32.create seed) small_config in
   (topo, Model.physical topo)
 
-let make_session ?metric ?pricer ?shards mode seed =
+let make_session ?metric ?pricer mode seed =
   let topo, model = small_world seed in
-  Session.create ?metric ?pricer ?shards ~mode ~topo ~model ()
+  Session.create ?metric ?pricer ~mode ~topo ~model ()
 
 (* --- json ----------------------------------------------------------- *)
 
@@ -346,8 +346,8 @@ let trace_deterministic () =
 
 (* --- the core property: warm = cold on any interleaving -------------- *)
 
-let run_transcript ?pricer ?shards mode ~topo_seed lines =
-  let s = make_session ?pricer ?shards mode topo_seed in
+let run_transcript ?pricer mode ~topo_seed lines =
+  let s = make_session ?pricer mode topo_seed in
   List.mapi (fun i line -> fst (Session.handle_line s ~seq:(i + 1) line)) lines
 
 let qcheck_warm_equals_cold =
@@ -371,8 +371,7 @@ let qcheck_warm_equals_cold =
 (* Heuristic-first pricing behind the wire: at this topology's scale
    the auto tier always ends with the exact fallback certifying the
    optimum, so — after wire quantisation — an auto session's transcript
-   is byte-identical to the exact session's on any interleaving.  Runs
-   sharded to cover the fan-out path too. *)
+   is byte-identical to the exact session's on any interleaving. *)
 let qcheck_auto_session_equals_exact =
   QCheck.Test.make ~name:"auto-pricer session transcript = exact session transcript"
     ~count:10
@@ -385,10 +384,7 @@ let qcheck_auto_session_equals_exact =
       in
       let lines = Trace.to_request_lines trace in
       let exact = run_transcript Session.Warm ~topo_seed lines in
-      let auto =
-        run_transcript ~pricer:Wsn_availbw.Column_gen.Auto ~shards:2 Session.Warm ~topo_seed
-          lines
-      in
+      let auto = run_transcript ~pricer:Wsn_availbw.Column_gen.Auto Session.Warm ~topo_seed lines in
       if auto <> exact then
         QCheck.Test.fail_reportf "transcripts diverge:@.%s@.vs@.%s"
           (String.concat "\n" auto) (String.concat "\n" exact)
