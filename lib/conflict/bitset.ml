@@ -70,18 +70,6 @@ let iter f t =
     done
   done
 
-let iter_union f a b =
-  same_universe a b;
-  for wi = 0 to Array.length a.w - 1 do
-    let w = ref (a.w.(wi) lor b.w.(wi)) in
-    while !w <> 0 do
-      let lsb = !w land - !w in
-      let rec log2 b k = if b = 1 then k else log2 (b lsr 1) (k + 1) in
-      f ((wi * bits) + log2 lsb 0);
-      w := !w land (!w - 1)
-    done
-  done
-
 let to_list t =
   let acc = ref [] in
   iter (fun i -> acc := i :: !acc) t;

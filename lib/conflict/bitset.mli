@@ -40,12 +40,6 @@ val union_into : dst:t -> t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Members in ascending order. *)
 
-val iter_union : (int -> unit) -> t -> t -> unit
-(** [iter_union f a b] applies [f] to every member of [a] ∪ [b] in
-    ascending order, without materialising the union.  The MAC
-    simulator's busy-time accounting walks transmitting ∪ sensed-busy
-    this way every slot. *)
-
 val to_list : t -> int list
 (** Members, ascending. *)
 
@@ -55,7 +49,9 @@ val of_list : int -> int list -> t
 val words : t -> int array
 (** The backing words (do not mutate): a cheap canonical key — copy
     before using as a hash-table key.  Member [i] is bit
-    [i mod word_bits] of word [i / word_bits]. *)
+    [i mod word_bits] of word [i / word_bits].  The array is the set's
+    own storage for its whole life, so later {!add} and {!remove}
+    calls show through it. *)
 
 val word_bits : int
 (** Members per backing word (63). *)

@@ -275,26 +275,46 @@ module Inc = struct
      re-subtraction). *)
   type frame = { f_link : int; saved_isum : float array; saved_rate : int array }
 
+  (* The member arrays hold [count] live entries and grow by doubling,
+     so a state costs what its set holds, not the kernel's link count:
+     pricing and enumeration start one state per root or call. *)
   type state = {
     k : t;
     set : Bitset.t;
-    members_ : int array;
-    isum : float array;
-    rate : int array;
+    mutable members_ : int array;
+    mutable isum : float array;
+    mutable rate : int array;
     mutable count : int;
     mutable frames : frame list;
   }
+
+  let initial_capacity = 8
 
   let start k =
     {
       k;
       set = Bitset.create k.n_links;
-      members_ = Array.make (max 1 k.n_links) 0;
-      isum = Array.make (max 1 k.n_links) 0.0;
-      rate = Array.make (max 1 k.n_links) 0;
+      members_ = Array.make initial_capacity 0;
+      isum = Array.make initial_capacity 0.0;
+      rate = Array.make initial_capacity 0;
       count = 0;
       frames = [];
     }
+
+  (* Room for [n] members, keeping the live prefix. *)
+  let reserve st n =
+    let cap = Array.length st.members_ in
+    if n > cap then begin
+      let cap = max n (2 * cap) in
+      let grow a zero =
+        let a' = Array.make cap zero in
+        Array.blit a 0 a' 0 st.count;
+        a'
+      in
+      st.members_ <- grow st.members_ 0;
+      st.isum <- grow st.isum 0.0;
+      st.rate <- grow st.rate 0
+    end
 
   let size st = st.count
 
@@ -369,6 +389,7 @@ module Inc = struct
           false
         end
         else begin
+          reserve st (st.count + 1);
           st.members_.(st.count) <- l;
           st.isum.(st.count) <- !il;
           st.rate.(st.count) <- rl;
@@ -416,6 +437,7 @@ module Inc = struct
            (ascending order, as both [compute_entry] and the incremental
            accumulation produce) — no SINR work. *)
         let rows = Array.map (fun l -> interf_row k l) e.e_links in
+        reserve st n;
         for j = 0 to n - 1 do
           st.members_.(j) <- e.e_links.(j);
           st.rate.(j) <- e.e_rates.(j);

@@ -95,7 +95,10 @@ val scratch : t -> (string, exn) Hashtbl.t
     time, checking only the new link against the running partial set
     and updating every member's interference sum and maximum rate in
     O(|set|).  Backtracking ([undo]) restores the exact previous
-    floats, so DFS enumeration is bit-stable. *)
+    floats, so DFS enumeration is bit-stable.  A state's member arrays
+    start at eight entries and double as the set grows, so {!Inc.start}
+    allocates those and one link bitset, not three arrays with an entry
+    per link. *)
 module Inc : sig
   type state
 

@@ -64,7 +64,7 @@ type sensitivity = {
   s_f_var : Problem.var;
   s_shortfall_vars : Problem.var array;
   s_u : int array;  (* universe links, row 1+i covers s_u.(i) *)
-  s_uindex : (int, int) Hashtbl.t;
+  s_uindex : int array;  (* universe index by link id, -1 outside *)
   s_background : Flow.t array;
   s_bandwidth : float;
   s_sigma : float;  (* dual of the total-share budget row *)
@@ -81,26 +81,24 @@ let column_of_assignment tbl assignment =
 
 (* Cross-query column pool: assignments priced in by earlier queries on
    the same model, replayed as extra seed columns for later masters.
-   Insertion order is preserved (and deduplication is keyed on the
-   link-sorted assignment) so a pool's contribution to a master is a
-   deterministic function of the query history. *)
+   Kept in insertion order (and deduplicated on the link-sorted
+   assignment) so a pool's contribution to a master is a deterministic
+   function of the query history. *)
 type pool = {
-  mutable passignments_rev : Model.assignment list;
+  passignments : Model.assignment Queue.t;
   pseen : (Model.assignment, unit) Hashtbl.t;  (* keyed link-sorted *)
 }
 
-let create_pool () = { passignments_rev = []; pseen = Hashtbl.create 64 }
+let create_pool () = { passignments = Queue.create (); pseen = Hashtbl.create 64 }
 
-let pool_size p = Hashtbl.length p.pseen
-
-let pool_assignments p = List.rev p.passignments_rev
+let pool_size p = Queue.length p.passignments
 
 let pool_add p assignment =
   let key = List.sort compare assignment in
   if Hashtbl.mem p.pseen key then false
   else begin
     Hashtbl.add p.pseen key ();
-    p.passignments_rev <- assignment :: p.passignments_rev;
+    Queue.add assignment p.passignments;
     true
   end
 
@@ -108,7 +106,7 @@ let pool_add p assignment =
    index it directly instead of walking association lists. *)
 let dense_supply ~uindex ~nu (c : column) =
   let d = Array.make nu 0.0 in
-  List.iter (fun (l, m) -> d.(Hashtbl.find uindex l) <- d.(Hashtbl.find uindex l) +. m) c.mbps;
+  List.iter (fun (l, m) -> d.(uindex.(l)) <- d.(uindex.(l)) +. m) c.mbps;
   d
 
 (* Build the restricted master over [columns]: row 0 is the total-share
@@ -160,11 +158,12 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
   let universe = List.sort_uniq compare (Flow.union_links background @ path) in
   let u = Array.of_list universe in
   let nu = Array.length u in
-  let uindex = Hashtbl.create (2 * nu) in
-  Array.iteri (fun i l -> Hashtbl.replace uindex l i) u;
+  (* Universe index by link id, -1 for links outside the universe. *)
+  let uindex = Array.make (Model.n_links model) (-1) in
+  Array.iteri (fun i l -> uindex.(l) <- i) u;
   let loads = Array.map (fun l -> Flow.load_on background l) u in
   (* Read a per-universe-index array by link id. *)
-  let by_link a l = a.(Hashtbl.find uindex l) in
+  let by_link a l = a.(uindex.(l)) in
   (* A demanded link with no rate at all: unschedulable (or a dead link
      on the new path: zero bandwidth, handled by the LP shortfall). *)
   let seed =
@@ -184,13 +183,17 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
     | None -> []
     | Some p ->
       let reusable =
-        List.filter
-          (fun a ->
-            List.for_all (fun (l, _) -> Hashtbl.mem uindex l) a
-            && (match a with
-                | [ (l, r) ] -> Model.alone_best model l <> Some r
-                | _ -> true))
-          (pool_assignments p)
+        Queue.fold
+          (fun acc a ->
+            if
+              List.for_all (fun (l, _) -> uindex.(l) >= 0) a
+              && (match a with
+                  | [ (l, r) ] -> Model.alone_best model l <> Some r
+                  | _ -> true)
+            then a :: acc
+            else acc)
+          [] p.passignments
+        |> List.rev
       in
       Telemetry.add m_pool_hits (List.length reusable);
       reusable
@@ -230,8 +233,8 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
     | Exact -> []
     | (Heuristic | Auto) when nu <= auto_exact_max -> []
     | Heuristic | Auto ->
-      let used = Hashtbl.create (2 * nu) in
-      let w l = if Hashtbl.mem used l then 0.0 else 1.0 +. by_link loads l in
+      let used = Array.make nu false in
+      let w l = if by_link used l then 0.0 else 1.0 +. by_link loads l in
       let pooled_keys = Hashtbl.create 64 in
       List.iter (fun a -> Hashtbl.replace pooled_keys (List.sort compare a) ()) pooled_seed;
       let rec cover acc =
@@ -240,7 +243,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
           (* A returned set has positive value, hence at least one
              still-unseen link — marking it used guarantees progress
              even when the column itself is a pool duplicate. *)
-          List.iter (fun (l, _) -> Hashtbl.replace used l ()) a;
+          List.iter (fun (l, _) -> used.(uindex.(l)) <- true) a;
           let fresh = not (Hashtbl.mem pooled_keys (List.sort compare a)) in
           if fresh then record_in_pool a;
           cover (if fresh then a :: acc else acc)
@@ -266,10 +269,10 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
      round (the reference behaviour). *)
   let batch_after ~sigma ~w ~search first =
     Telemetry.incr m_heuristic_columns;
-    let used = Hashtbl.create 16 in
-    let note a = List.iter (fun (l, _) -> Hashtbl.replace used l ()) a in
+    let used = Array.make nu false in
+    let note a = List.iter (fun (l, _) -> used.(uindex.(l)) <- true) a in
     note first;
-    let damped l = if Hashtbl.mem used l then 0.0 else search l in
+    let damped l = if by_link used l then 0.0 else search l in
     let rec batch acc k =
       if k = 0 then List.rev acc
       else
@@ -479,7 +482,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
                 let column = column_of_assignment tbl assignment in
                 let terms =
                   (0, 1.0)
-                  :: List.map (fun (l, m) -> (1 + Hashtbl.find uindex l, m)) column.mbps
+                  :: List.map (fun (l, m) -> (1 + uindex.(l), m)) column.mbps
                 in
                 let v = Problem.add_column w terms in
                 columns_rev := column :: !columns_rev;
@@ -533,7 +536,7 @@ let check_flow s k =
 let flow_derivative s k =
   check_flow s k;
   List.fold_left
-    (fun acc l -> acc +. s.s_duals.(Hashtbl.find s.s_uindex l))
+    (fun acc l -> acc +. s.s_duals.(s.s_uindex.(l)))
     0.0 s.s_background.(k).Flow.path
 
 let throttle_ranking s =
@@ -548,7 +551,7 @@ let throttle_ranking s =
    those rows by [t · demand]. *)
 let scale_dir s k =
   let fl = s.s_background.(k) in
-  List.map (fun l -> (1 + Hashtbl.find s.s_uindex l, fl.Flow.demand_mbps)) fl.Flow.path
+  List.map (fun l -> (1 + s.s_uindex.(l), fl.Flow.demand_mbps)) fl.Flow.path
 
 let scale_ranging s k =
   check_flow s k;

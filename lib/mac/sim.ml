@@ -403,11 +403,12 @@ let run_reference ?(config = Dcf_config.default) ?(seed = 1L) topo ~flows ~durat
 
 (* --- event-driven fast path ------------------------------------------ *)
 
-(* Bit walks of the fast loop.  The loop walks its bitsets here, over
-   [Bitset.words], instead of calling [Bitset.iter]/[iter_union]: with
-   every per-event walk in [Sim]'s own code, the loop's speed no longer
-   depends on where the linker places [Bitset] relative to [Sim] (a
-   ±20% soak swing with identical work, DESIGN.md Appendix E).  Members
+(* Bit walks of the fast loop.  Every walk of [run] is a loop over
+   [Bitset.words] written out in place, not a call to [Bitset.iter] or a
+   shared walker taking a closure: with each per-event walk in [Sim]'s
+   own code, the loop's speed no longer depends on where the linker
+   places [Bitset] relative to [Sim] (a ±20% soak swing with identical
+   work, DESIGN.md Appendix E), and no member costs a call.  Members
    come in ascending order, exactly as [Bitset.iter] visits them, and
    each word is read once before its members are visited, as there. *)
 
@@ -421,30 +422,13 @@ let lowest_bit w =
   if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
   if !w land 0x1 = 0 then !n + 1 else !n
 
-let walk_words f base w =
-  let w = ref w in
-  while !w <> 0 do
-    f (base + lowest_bit !w);
-    w := !w land (!w - 1)
-  done
-
-let walk f s =
-  let words = Bitset.words s in
-  for wi = 0 to Array.length words - 1 do
-    walk_words f (wi * Bitset.word_bits) words.(wi)
-  done
-
-let walk_union f a b =
-  let wa = Bitset.words a and wb = Bitset.words b in
-  for wi = 0 to Array.length wa - 1 do
-    walk_words f (wi * Bitset.word_bits) (wa.(wi) lor wb.(wi))
-  done
-
 (* Station state for the fast loop: the option-typed backoff and the
    boxed [ongoing] record of the reference become plain mutable ints
    ([-1] encodes absence), so a contention slot writes fields in place
    and allocates nothing.  The frame being transmitted is [current],
-   exactly as in the reference (it never changes mid-flight). *)
+   exactly as in the reference (it never changes mid-flight).  An
+   in-flight frame stores the slot it ends in, not a countdown, so
+   neither a jump nor a stepped slot touches it. *)
 type fstation = {
   f_id : int;
   f_queue : frame Queue.t;
@@ -454,7 +438,8 @@ type fstation = {
   mutable f_cw : int;
   mutable f_retries : int;
   mutable f_link : int;  (* -1: not transmitting *)
-  mutable f_left : int;  (* tx slots remaining, meaningful when f_link >= 0 *)
+  mutable f_end : int;
+      (* slot whose phase 6 finishes the frame, meaningful when f_link >= 0 *)
   mutable f_corrupted : bool;
 }
 
@@ -485,9 +470,13 @@ type fstation = {
       flags frozen (the active set is static between transmission
       events, the flags are monotone, and shrinking the interferer set
       only raises SINR), busy accounting over a static transmitting ∪
-      sensed set, and a uniform countdown of in-flight frames.  Jumping
-      to the first slot with any other event and applying these
-      updates in bulk is therefore observationally identical. *)
+      sensed set, and in-flight frames moving toward their fixed end
+      slots.  Jumping to the first slot with any other event and
+      applying the contenders' countdown in bulk is therefore
+      observationally identical.  Busy time needs no per-slot work at
+      all: a node's busy period opens and closes only at transmission
+      starts and finishes, which happen in stepped slots, and is
+      credited whole when it closes. *)
 let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~duration_us =
   Wsn_telemetry.Span.with_span "mac.run" @@ fun () ->
   List.iter (validate_flow topo) flows;
@@ -516,18 +505,20 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
   let link_rate = Array.init n_links (fun l -> Topology.alone_rate topo l) in
   let link_sig = Array.init n_links (fun l -> pre.pow.(link_src.(l)).(link_dst.(l))) in
   let link_thresh = Array.init n_links (fun l -> Rate.snr_linear rate_tbl link_rate.(l)) in
-  let link_tx_slots = Array.init n_links (fun l -> tx_slots_tbl.(link_rate.(l))) in
-  (* Per-link silence set: every node the reference's [heard_from]
-     makes defer while this link transmits.  N_cs(src), plus N_cs(dst)
-     under RTS/CTS (the CTS silences the receiver's neighbourhood),
-     never the transmitter itself. *)
-  let silence =
+  (* The reference finishes a frame in the slot its countdown reaches
+     zero or below, so a zero-slot frame lasts one slot like a
+     one-slot frame. *)
+  let link_tx_slots = Array.init n_links (fun l -> max 1 tx_slots_tbl.(link_rate.(l))) in
+  (* Per-link busy set: the transmitter, plus its silence set — every
+     node the reference's [heard_from] makes defer while this link
+     transmits.  The silence set is N_cs(src), plus N_cs(dst) under
+     RTS/CTS (the CTS silences the receiver's neighbourhood), never the
+     transmitter itself. *)
+  let busy_set =
     Array.init n_links (fun l ->
         let b = Bitset.copy pre.cs.(link_src.(l)) in
-        if config.Dcf_config.rts_cts then begin
-          Bitset.union_into ~dst:b pre.cs.(link_dst.(l));
-          Bitset.remove b link_src.(l)
-        end;
+        if config.Dcf_config.rts_cts then Bitset.union_into ~dst:b pre.cs.(link_dst.(l));
+        Bitset.add b link_src.(l);
         b)
   in
   let stations =
@@ -541,7 +532,7 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
           f_cw = config.Dcf_config.cw_min;
           f_retries = 0;
           f_link = -1;
-          f_left = 0;
+          f_end = 0;
           f_corrupted = false;
         })
   in
@@ -565,34 +556,24 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
   let frames_sent = ref 0 in
   let collisions = ref 0 in
   let skipped = ref 0 in
-  (* Incrementally maintained channel state.  [sensed] holds every node
-     some active transmission silences; [sensed_cnt] refcounts overlaps
-     so removal is exact.  [contenders] holds stations with a head-of-
-     line frame and no transmission in flight — the only stations that
-     do per-slot work. *)
+  (* Incrementally maintained channel state.  [busy_cnt.(v)] counts the
+     active transmissions whose busy set holds [v]: [v] is busy
+     (transmitting ∪ sensed) iff it is positive.  A contender never
+     transmits, so for a contender "busy" is exactly "sensed".
+     [busy_from.(v)] is the slot [v]'s current busy period began; a
+     period opens in the contention phase of a slot and closes in its
+     phase 6, so both ends count, and it is credited to [busy_slots]
+     whole when the count falls back to zero.  [contenders] holds
+     stations with a head-of-line frame and no transmission in flight —
+     the only stations that do per-slot work. *)
+  let busy_cnt = Array.make n 0 in
+  let busy_from = Array.make n 0 in
   let transmitting = Bitset.create n in
-  let sensed = Bitset.create n in
-  let sensed_cnt = Array.make n 0 in
   let contenders = Bitset.create n in
   let n_active = ref 0 in
   let active_ids = Array.make (max n 1) 0 in
   let arrival_buf = Int_buf.create () in
-  let add_silence l =
-    walk
-      (fun v ->
-        let c = sensed_cnt.(v) in
-        if c = 0 then Bitset.add sensed v;
-        sensed_cnt.(v) <- c + 1)
-      silence.(l)
-  in
-  let remove_silence l =
-    walk
-      (fun v ->
-        let c = sensed_cnt.(v) - 1 in
-        sensed_cnt.(v) <- c;
-        if c = 0 then Bitset.remove sensed v)
-      silence.(l)
-  in
+  let slot = ref 0 in
   let enqueue_frame node frame =
     let st = stations.(node) in
     if st.f_current = None then begin
@@ -613,7 +594,7 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
   let start_transmission st frame =
     let link = match frame.remaining with l :: _ -> l | [] -> assert false in
     st.f_link <- link;
-    st.f_left <- link_tx_slots.(link);
+    st.f_end <- !slot + link_tx_slots.(link) - 1;
     st.f_corrupted <- false;
     st.f_backoff <- -1;
     st.f_difs <- 0;
@@ -621,7 +602,17 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
     Bitset.remove contenders st.f_id;
     Bitset.add transmitting st.f_id;
     incr n_active;
-    add_silence link;
+    let words = Bitset.words busy_set.(link) in
+    for wi = 0 to Array.length words - 1 do
+      let w = ref words.(wi) and base = wi * Bitset.word_bits in
+      while !w <> 0 do
+        let v = base + lowest_bit !w in
+        let c = busy_cnt.(v) in
+        if c = 0 then busy_from.(v) <- !slot;
+        busy_cnt.(v) <- c + 1;
+        w := !w land (!w - 1)
+      done
+    done;
     Telemetry.observe m_active_stations (float_of_int !n_active)
   in
   let finish_transmission st =
@@ -629,7 +620,17 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
     st.f_link <- -1;
     Bitset.remove transmitting st.f_id;
     decr n_active;
-    remove_silence link;
+    let words = Bitset.words busy_set.(link) in
+    for wi = 0 to Array.length words - 1 do
+      let w = ref words.(wi) and base = wi * Bitset.word_bits in
+      while !w <> 0 do
+        let v = base + lowest_bit !w in
+        let c = busy_cnt.(v) - 1 in
+        busy_cnt.(v) <- c;
+        if c = 0 then busy_slots.(v) <- busy_slots.(v) + (!slot + 1 - busy_from.(v));
+        w := !w land (!w - 1)
+      done
+    done;
     Telemetry.observe m_active_stations (float_of_int !n_active);
     (if st.f_corrupted then begin
        incr collisions;
@@ -662,46 +663,55 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
      end);
     if st.f_current <> None then Bitset.add contenders st.f_id
   in
-  let slot = ref 0 in
+  let tx_words = Bitset.words transmitting and ct_words = Bitset.words contenders in
+  let n_words = Array.length tx_words in
   while !slot < total_slots do
     (* Event jump: advance to the first slot where a station does more
        than count down — an arrival, a frame completion, or an unsensed
        contender reaching its backoff draw or its transmission start.
        Every slot before it is a pure countdown with no RNG draw and a
-       static active set, applied here in bulk. *)
+       static active set; only the contenders' countdown is applied
+       here in bulk. *)
     let target =
       ref
         (match Event_queue.next_time arrivals with
          | Some t -> min (t / slot_us) total_slots
          | None -> total_slots)
     in
-    walk
-      (fun id ->
-        let left = !slot + stations.(id).f_left - 1 in
-        if left < !target then target := left)
-      transmitting;
-    walk
-      (fun id ->
-        if not (Bitset.mem sensed id) then begin
+    for wi = 0 to n_words - 1 do
+      let w = ref tx_words.(wi) and base = wi * Bitset.word_bits in
+      while !w <> 0 do
+        let e = stations.(base + lowest_bit !w).f_end in
+        if e < !target then target := e;
+        w := !w land (!w - 1)
+      done;
+      let w = ref ct_words.(wi) in
+      while !w <> 0 do
+        let id = base + lowest_bit !w in
+        if busy_cnt.(id) = 0 then begin
           let st = stations.(id) in
           let ev = !slot + (difs_slots - st.f_difs) + max st.f_backoff 0 in
           if ev < !target then target := ev
-        end)
-      contenders;
+        end;
+        w := !w land (!w - 1)
+      done
+    done;
     if !target > !slot then begin
       let k = !target - !slot in
-      walk_union (fun v -> busy_slots.(v) <- busy_slots.(v) + k) transmitting sensed;
-      walk (fun id -> stations.(id).f_left <- stations.(id).f_left - k) transmitting;
-      walk
-        (fun id ->
+      for wi = 0 to n_words - 1 do
+        let w = ref ct_words.(wi) and base = wi * Bitset.word_bits in
+        while !w <> 0 do
+          let id = base + lowest_bit !w in
           let st = stations.(id) in
-          if Bitset.mem sensed id then st.f_difs <- 0
+          if busy_cnt.(id) > 0 then st.f_difs <- 0
           else begin
             let a = min k (difs_slots - st.f_difs) in
             st.f_difs <- st.f_difs + a;
             if k > a then st.f_backoff <- st.f_backoff - (k - a)
-          end)
-        contenders;
+          end;
+          w := !w land (!w - 1)
+        done
+      done;
       skipped := !skipped + k;
       slot := !target
     end;
@@ -723,29 +733,37 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
         if next < duration_us then Event_queue.schedule arrivals ~time:next i
       done;
       (* 2+3. Contention: only contenders do work; the sensed-busy test
-         is one bitset membership, live-updated by transmissions that
-         start earlier in this very pass (matching the reference's lazy
-         [sensed_busy]). *)
-      walk
-        (fun id ->
+         is one refcount read, live-updated by transmissions that start
+         earlier in this very pass (matching the reference's lazy
+         [sensed_busy]).  A station that starts transmitting leaves
+         [contenders], but the word was read before its members. *)
+      for wi = 0 to n_words - 1 do
+        let w = ref ct_words.(wi) and base = wi * Bitset.word_bits in
+        while !w <> 0 do
+          let id = base + lowest_bit !w in
           let st = stations.(id) in
-          if Bitset.mem sensed id then st.f_difs <- 0
+          if busy_cnt.(id) > 0 then st.f_difs <- 0
           else if st.f_difs < difs_slots then st.f_difs <- st.f_difs + 1
           else if st.f_backoff < 0 then st.f_backoff <- Pcg32.next_below rng st.f_cw
           else if st.f_backoff = 0 then (
             match st.f_current with
             | Some frame -> start_transmission st frame
             | None -> assert false)
-          else st.f_backoff <- st.f_backoff - 1)
-        contenders;
+          else st.f_backoff <- st.f_backoff - 1;
+          w := !w land (!w - 1)
+        done
+      done;
       (* 4. Reception over the final active set: precomputed powers
          summed in the reference's ascending-id order. *)
       let na = ref 0 in
-      walk
-        (fun id ->
-          active_ids.(!na) <- id;
-          incr na)
-        transmitting;
+      for wi = 0 to n_words - 1 do
+        let w = ref tx_words.(wi) and base = wi * Bitset.word_bits in
+        while !w <> 0 do
+          active_ids.(!na) <- base + lowest_bit !w;
+          incr na;
+          w := !w land (!w - 1)
+        done
+      done;
       let na = !na in
       for ai = 0 to na - 1 do
         let st = stations.(active_ids.(ai)) in
@@ -760,16 +778,19 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) ?prepared topo ~flows ~durat
         let sinr = link_sig.(l) /. (!interference +. noise) in
         if stations.(rx).f_link >= 0 || sinr < link_thresh.(l) then st.f_corrupted <- true
       done;
-      (* 5. Busy accounting: transmitting ∪ sensed, one bitset walk. *)
-      walk_union (fun v -> busy_slots.(v) <- busy_slots.(v) + 1) transmitting sensed;
-      (* 6. Advance transmissions. *)
+      (* 5. Busy accounting is per busy period, at transmission starts
+         and finishes.  6. Finish the frames that end in this slot. *)
       for ai = 0 to na - 1 do
         let st = stations.(active_ids.(ai)) in
-        st.f_left <- st.f_left - 1;
-        if st.f_left <= 0 then finish_transmission st
+        if st.f_end <= !slot then finish_transmission st
       done;
       incr slot
     end
+  done;
+  (* Busy periods still open at the end of the window run to its last
+     slot. *)
+  for v = 0 to n - 1 do
+    if busy_cnt.(v) > 0 then busy_slots.(v) <- busy_slots.(v) + (total_slots - busy_from.(v))
   done;
   Telemetry.add m_slots total_slots;
   Telemetry.add m_frames_sent !frames_sent;

@@ -19,9 +19,10 @@
       measurement, which only depends on data-frame airtime.
 
     Everything is deterministic in the seed.  {!run} is the production
-    loop — event-driven, bitset carrier sensing, bulk jumps over every
-    slot where stations only count down, allocation-free per slot; {!run_reference} is the original
-    slot-stepping loop kept as the behavioural oracle.  Both produce
+    loop — event-driven, refcounted carrier sensing, busy time credited
+    once per busy period, bulk jumps over every slot where stations
+    only count down, allocation-free per slot; {!run_reference} is the
+    original slot-stepping loop kept as the behavioural oracle.  Both produce
     byte-identical {!stats} (pinned by the QCheck parity suite; the
     jump-soundness argument is DESIGN.md Appendix E). *)
 
@@ -121,19 +122,3 @@ val run_replications :
     order — byte-identical to mapping {!run} over [seeds]
     sequentially, at any pool size.  The prepared kernel (given or
     built once here) is shared read-only across domains. *)
-
-(** {2 Bit walks}
-
-    {!run} walks its station bitsets with these loops over
-    {!Wsn_conflict.Bitset.words} rather than through
-    {!Wsn_conflict.Bitset.iter}, so no loop of the event loop runs in
-    a module linked after [Sim] (DESIGN.md Appendix E).  Exposed so
-    tests can pin them to the [Bitset] walks. *)
-
-val walk : (int -> unit) -> Wsn_conflict.Bitset.t -> unit
-(** Same members, same ascending order as {!Wsn_conflict.Bitset.iter}. *)
-
-val walk_union : (int -> unit) -> Wsn_conflict.Bitset.t -> Wsn_conflict.Bitset.t -> unit
-(** Same members, same ascending order as
-    {!Wsn_conflict.Bitset.iter_union}; both sets must share a
-    capacity. *)

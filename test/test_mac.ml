@@ -494,17 +494,21 @@ let light_chain () =
   let topo = Wsn_net.Builders.chain ~spacing_m:50.0 8 in
   (topo, [ { Sim.links = Wsn_net.Builders.chain_hop_links topo; demand_mbps = 0.5 } ])
 
-let check_fixed_parity (topo, flows) ~duration_us () =
+let check_fixed_parity ?(configs = [ Dcf_config.default ]) (topo, flows) ~duration_us () =
   let prepared = Sim.prepare topo in
   List.iter
-    (fun seed ->
-      check Alcotest.bool
-        (Printf.sprintf "seed %Ld: run = run_reference" seed)
-        true
-        (stats_equal
-           (Sim.run ~seed ~prepared topo ~flows ~duration_us)
-           (Sim.run_reference ~seed topo ~flows ~duration_us)))
-    [ 1L; 2L; 3L ]
+    (fun config ->
+      List.iter
+        (fun seed ->
+          check Alcotest.bool
+            (Printf.sprintf "rts_cts %b, seed %Ld: run = run_reference" config.Dcf_config.rts_cts
+               seed)
+            true
+            (stats_equal
+               (Sim.run ~config ~seed ~prepared topo ~flows ~duration_us)
+               (Sim.run_reference ~config ~seed topo ~flows ~duration_us)))
+        [ 1L; 2L; 3L ])
+    configs
 
 module Registry = Wsn_telemetry.Registry
 
@@ -562,45 +566,109 @@ let parity_suite =
 
 let suite = suite @ parity_suite
 
-(* --- Sim-local bit walks ------------------------------------------------ *)
+(* --- busy intervals and multi-word sets ---------------------------------- *)
 
-module Bitset = Wsn_conflict.Bitset
+(* [run] credits busy time per busy period, opened when a node's busy
+   refcount leaves zero and closed when it returns there or when the
+   window ends.  Each case is compared with the reference on seeds 1-3,
+   with RTS/CTS off and on. *)
+let both_modes config = [ config; Dcf_config.with_rts_cts config ]
 
-let visits iter =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc);
-  List.rev !acc
+(* Busy slots of each node in a reference run, read back from its
+   idleness. *)
+let reference_busy ~config ~seed (topo, flows) ~duration_us =
+  let st = Sim.run_reference ~config ~seed topo ~flows ~duration_us in
+  let total = float_of_int (duration_us / config.Dcf_config.slot_us) in
+  Array.map (fun idle -> int_of_float (Float.round ((1.0 -. idle) *. total))) st.Sim.node_idleness
 
-(* Capacities up to 200 span four 63-bit words, so members land on both
-   sides of each word boundary and on bit 62, the sign bit of a word. *)
-let random_set rng n =
-  let s = Bitset.create n in
-  let density = Pcg32.next_below rng 4 in
-  for i = 0 to n - 1 do
-    if Pcg32.next_below rng 4 < density then Bitset.add s i
-  done;
-  s
+(* A window that ends mid-frame.  The eight saturated pairs keep 25-slot
+   frames on the air nearly all the time, and the window length is one
+   where, at every seed and in both modes, a frame is on the air in the
+   last slot, so busy periods are still open when the window closes.
+   The reference confirms it: a run one slot shorter is a prefix of the
+   same run (arrivals draw nothing from the PRNG), and every node's busy
+   count grows by one over the last slot, as the transmitter of a frame
+   in flight or a node it silences. *)
+let test_window_ends_busy () =
+  let case = saturated_pairs () and duration_us = 124_457 in
+  let slot_us = Dcf_config.default.Dcf_config.slot_us in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun seed ->
+          let full = reference_busy ~config ~seed case ~duration_us in
+          let short = reference_busy ~config ~seed case ~duration_us:(duration_us - slot_us) in
+          check Alcotest.bool
+            (Printf.sprintf "rts_cts %b, seed %Ld: last slot busy at every node"
+               config.Dcf_config.rts_cts seed)
+            true
+            (Array.for_all2 (fun f s -> f = s + 1) full short))
+        [ 1L; 2L; 3L ])
+    (both_modes Dcf_config.default);
+  check_fixed_parity ~configs:(both_modes Dcf_config.default) case ~duration_us ()
 
-let qcheck_walks_match_bitset =
-  QCheck.Test.make ~name:"Sim walks visit Bitset.iter/iter_union's members in order" ~count:500
-    (QCheck.int_bound 1_000_000) (fun case ->
-      let rng = Pcg32.create (Int64.of_int case) in
-      let n = 1 + Pcg32.next_below rng 200 in
-      let a = random_set rng n and b = random_set rng n in
-      visits (fun f -> Sim.walk f a) = visits (fun f -> Bitset.iter f a)
-      && visits (fun f -> Sim.walk_union f a b) = visits (fun f -> Bitset.iter_union f a b))
+(* Frames of one slot: 48 payload bits take at most 8 µs at the slowest
+   rate (6 Mbit/s) and the RTS/CTS exchange is given no airtime, so
+   every frame starts and finishes in the same slot, and a busy period
+   can open and close in one slot.  Two crossing flows on a four-node
+   chain keep both ends of the chain contending. *)
+let test_one_slot_frames () =
+  let config =
+    { Dcf_config.default with Dcf_config.payload_bits = 48; rts_cts_overhead_us = 0 }
+  in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun rate_mbps ->
+          check Alcotest.int "one-slot frame" 1 (Dcf_config.tx_slots r ~rate_mbps))
+        [ 54.0; 6.0 ])
+    (both_modes config);
+  let topo = Wsn_net.Builders.chain ~spacing_m:60.0 4 in
+  let flows =
+    [
+      { Sim.links = Wsn_net.Builders.chain_hop_links topo; demand_mbps = 2.0 };
+      { Sim.links = [ the_link topo 3 2; the_link topo 2 1 ]; demand_mbps = 4.0 };
+    ]
+  in
+  check_fixed_parity ~configs:(both_modes config) (topo, flows) ~duration_us:60_000 ()
 
-let test_walks_word_boundaries () =
-  let edges = [ 0; 1; 61; 62; 63; 64; 125; 126; 127; 188; 189 ] in
-  let a = Bitset.of_list 190 edges and b = Bitset.of_list 190 [ 2; 62; 63; 100; 189 ] in
-  check (Alcotest.list Alcotest.int) "walk" edges (visits (fun f -> Sim.walk f a));
-  check (Alcotest.list Alcotest.int) "walk_union"
-    (visits (fun f -> Bitset.iter_union f a b))
-    (visits (fun f -> Sim.walk_union f a b))
+(* A 100-node grid spans two 63-bit words of every station set.  Chains
+   along rows 0, 3, 6 and 9 (the row-6 chain runs over nodes 61-64,
+   across the word boundary) and one along column 1 keep transmitters,
+   contenders and silenced nodes in both words; nodes 540 m apart
+   neither hear nor silence each other, so frames overlap across the
+   grid. *)
+let multiword_grid () =
+  let cols = 10 in
+  let topo = Wsn_net.Builders.grid ~pitch_m:60.0 ~rows:10 cols in
+  let chain nodes =
+    let rec links = function a :: (b :: _ as rest) -> the_link topo a b :: links rest | _ -> [] in
+    links nodes
+  in
+  let row r c0 = List.init 4 (fun c -> (r * cols) + c0 + c) in
+  let flows =
+    List.map
+      (fun (nodes, demand_mbps) -> { Sim.links = chain nodes; demand_mbps })
+      [
+        (row 0 3, 4.0);
+        (List.rev (row 3 3), 2.0);
+        (row 6 1, 8.0);
+        (row 9 3, 4.0);
+        (List.init 4 (fun r -> ((r + 5) * cols) + 1), 3.0);
+      ]
+  in
+  (topo, flows)
+
+let test_multiword_parity () =
+  let topo, _ = multiword_grid () in
+  check Alcotest.bool "more than one word" true (Topology.n_nodes topo > Wsn_conflict.Bitset.word_bits);
+  check_fixed_parity ~configs:(both_modes Dcf_config.default) (multiword_grid ())
+    ~duration_us:60_000 ()
 
 let suite =
   suite
   @ [
-      QCheck_alcotest.to_alcotest qcheck_walks_match_bitset;
-      Alcotest.test_case "walks across word boundaries" `Quick test_walks_word_boundaries;
+      Alcotest.test_case "window ends with busy periods open" `Quick test_window_ends_busy;
+      Alcotest.test_case "one-slot frames run = ref" `Quick test_one_slot_frames;
+      Alcotest.test_case "100-node grid run = ref" `Quick test_multiword_parity;
     ]
