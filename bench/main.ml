@@ -285,7 +285,9 @@ module Session = Wsn_admission.Session
 module Trace = Wsn_workload.Scenarios.Admission_trace
 
 (* Warm (resident incremental state) vs cold (batch pipeline per query)
-   admission serving on the paper's 30-node topology.  Three gates:
+   admission serving on the paper's 30-node topology.  The artifact
+   records each arm's LP pivots and SINR rate evaluations
+   ([kernel.rate_evals]).  Three gates:
    response transcripts must be byte-identical (the correctness
    contract of the warm path); enabling telemetry must not change
    either arm's transcript; and the cold arm must make at least 1.2x
@@ -345,6 +347,8 @@ let serve_bench ~seed ~quick ~out =
     \  \"transcript_md5\": \"%s\",\n\
     \  \"warm_lp_pivots\": %d,\n\
     \  \"cold_lp_pivots\": %d,\n\
+    \  \"warm_kernel_rate_evals\": %d,\n\
+    \  \"cold_kernel_rate_evals\": %d,\n\
     \  \"admits\": %d,\n\
     \  \"rejects\": %d,\n\
     \  \"queries\": %d,\n\
@@ -354,7 +358,8 @@ let serve_bench ~seed ~quick ~out =
     \  \"pool_inserts\": %d,\n\
     \  \"pool_hits\": %d\n\
      }\n"
-    quick seed n_ops identical digest warm_pivots cold_pivots (warm "server.admits")
+    quick seed n_ops identical digest warm_pivots cold_pivots (warm "kernel.rate_evals")
+    (cold "kernel.rate_evals") (warm "server.admits")
     (warm "server.rejects") (warm "server.queries") (warm "server.releases")
     (warm "server.memo_hits") (warm "server.schedule_reuses") (warm "colgen.pool_inserts")
     (warm "colgen.pool_hits");

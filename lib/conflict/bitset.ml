@@ -42,8 +42,12 @@ let same_universe a b =
 
 let inter_empty a b =
   same_universe a b;
-  let rec go i = i >= Array.length a.w || (a.w.(i) land b.w.(i) = 0 && go (i + 1)) in
-  go 0
+  let n = Array.length a.w in
+  let i = ref 0 in
+  while !i < n && a.w.(!i) land b.w.(!i) = 0 do
+    incr i
+  done;
+  !i = n
 
 let inter_popcount a b =
   same_universe a b;
@@ -59,13 +63,20 @@ let union_into ~dst s =
     dst.w.(i) <- dst.w.(i) lor s.w.(i)
   done
 
+let lowest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFFFFFF = 0 then begin n := 32; w := !w lsr 32 end;
+  if !w land 0xFFFF = 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w land 0xFF = 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w land 0xF = 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
 let iter f t =
   for wi = 0 to Array.length t.w - 1 do
     let w = ref t.w.(wi) in
     while !w <> 0 do
-      let lsb = !w land -(!w) in
-      let rec log2 b k = if b = 1 then k else log2 (b lsr 1) (k + 1) in
-      f ((wi * bits) + log2 lsb 0);
+      f ((wi * bits) + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done

@@ -55,3 +55,7 @@ val words : t -> int array
 
 val word_bits : int
 (** Members per backing word (63). *)
+
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a non-zero word of {!words}: the
+    smallest member it holds, less the word's base. *)

@@ -48,6 +48,11 @@ type t = {
          the topology, so racing fills publish identical contents and
          compare-and-set keeps exactly one. *)
   hd : Bitset.t array;  (* hd.(l): links sharing an endpoint with l, incl. l *)
+  hard : Bytes.t array;
+      (* hard.(i).[j]: memoised [hard_conflict i j] —
+         [unknown], [compatible] or [conflict] — in a row materialised
+         on first touch ([Bytes.empty] until then).  Shared by every
+         view; see [hard_conflict] for why racing fills are sound. *)
   alone : Rate.t list array;
   cache : entry option Cache.t;
   scratch : (string, exn) Hashtbl.t;
@@ -92,6 +97,7 @@ let create topo =
   in
   let snr_req = Array.init nr (fun r -> Rate.snr_linear rates r) in
   let interf = Array.init nl (fun _ -> Atomic.make [||]) in
+  let hard = Array.make nl Bytes.empty in
   (* Half-duplex adjacency from node→link incidence lists: O(links ·
      degree) instead of the all-pairs O(links²) endpoint scan. *)
   let incident = Array.make (Topology.n_nodes topo) [] in
@@ -123,6 +129,7 @@ let create topo =
     rx;
     interf;
     hd;
+    hard;
     alone;
     cache = Cache.create 1024;
     scratch = Hashtbl.create 8;
@@ -156,29 +163,66 @@ let alone_rates k l =
   k.alone.(l)
 
 (* Fastest rate of link [l] under total interference power
-   [interference]; the same compares as [Phy.best_rate_under] on the
-   same floats, so verdicts agree bit-for-bit with the naive model. *)
+   [interference], or -1 when it supports none; the same compares as
+   [Phy.best_rate_under] on the same floats, so verdicts agree
+   bit-for-bit with the naive model. *)
 let best_rate k l ~interference =
   Telemetry.incr m_rate_evals;
   let snr = k.signal.(l) /. (interference +. k.noise) in
   let nr = Array.length k.snr_req in
   let ok = k.sens_ok.(l) in
-  let rec scan r =
-    if r >= nr then None else if snr >= k.snr_req.(r) && ok.(r) then Some r else scan (r + 1)
-  in
-  scan 0
+  let r = ref 0 in
+  while !r < nr && not (snr >= k.snr_req.(!r) && ok.(!r)) do
+    incr r
+  done;
+  if !r < nr then !r else -1
+
+let unknown = '\000'
+
+let compatible = '\001'
+
+let conflict = '\002'
+
+(* Row [i] of the hard-conflict memo, allocated on first touch. *)
+let hard_row k i =
+  let row = k.hard.(i) in
+  if Bytes.length row > 0 then row
+  else begin
+    let row = Bytes.make k.n_links unknown in
+    k.hard.(i) <- row;
+    row
+  end
 
 (* A pair that cannot transmit together at any rates: the links share an
    endpoint, or one of them supports no rate under the other's
    interference alone.  For a pair the whole-set sum is that single
    term ([0.0 +. x = x]), so this is the verdict [compute_entry] reaches
-   on the pair without touching the memo or allocating. *)
+   on the pair without touching the whole-set memo or allocating.
+
+   The verdict is a pure function of the topology, memoised in both
+   links' rows.  The rows are plain bytes shared by every view, so
+   concurrent fills race: a domain may replace a row another domain
+   just wrote into, or miss a byte written elsewhere.  Each byte only
+   ever goes from [unknown] to the pair's one true verdict, so a racing
+   reader sees either that verdict or [unknown] and recomputes it — a
+   lost fill costs two rate evaluations, never a wrong answer. *)
 let hard_conflict k i j =
   if i < 0 || i >= k.n_links || j < 0 || j >= k.n_links then
     invalid_arg "Kernel.hard_conflict: link out of range";
-  Bitset.mem k.hd.(i) j
-  || best_rate k j ~interference:(interf_row k i).(j) = None
-  || best_rate k i ~interference:(interf_row k j).(i) = None
+  let row = hard_row k i in
+  let v = Bytes.get row j in
+  if v <> unknown then v = conflict
+  else begin
+    let c =
+      Bitset.mem k.hd.(i) j
+      || best_rate k j ~interference:(interf_row k i).(j) < 0
+      || best_rate k i ~interference:(interf_row k j).(i) < 0
+    in
+    let v = if c then conflict else compatible in
+    Bytes.set row j v;
+    Bytes.set (hard_row k j) i v;
+    c
+  end
 
 (* --- whole-set queries (memoised) ---------------------------------- *)
 
@@ -206,9 +250,8 @@ let compute_entry k links =
       for i = 0 to n - 1 do
         if i <> !j then isum := !isum +. rows.(i).(l)
       done;
-      (match best_rate k l ~interference:!isum with
-       | Some r -> rates.(!j) <- r
-       | None -> ok := false);
+      let r = best_rate k l ~interference:!isum in
+      if r < 0 then ok := false else rates.(!j) <- r;
       incr j
     done;
     if !ok then Some { e_links = links; e_rates = rates } else None
@@ -270,50 +313,73 @@ let feasible k assignment =
 (* --- incremental construction -------------------------------------- *)
 
 module Inc = struct
-  (* Undo frames store the exact previous sums and rates, so
-     add-then-undo restores bit-identical state (no float drift from
-     re-subtraction). *)
-  type frame = { f_link : int; saved_isum : float array; saved_rate : int array }
-
   (* The member arrays hold [count] live entries and grow by doubling,
-     so a state costs what its set holds, not the kernel's link count:
-     pricing and enumeration start one state per root or call. *)
+     so a state costs what its set holds, not the kernel's link count.
+     [rows.(p)] caches the interference row of the [p]-th member, read
+     once per add instead of once per member per add.
+
+     Undo restores the exact previous sums and rates (no float drift
+     from re-subtraction) from one flat stack: the add of the [d]-th
+     member pushes the [d - 1] earlier members' sums and rates, so undo
+     pops [count - 1] entries.  Once the arrays have grown to the
+     deepest set, no add, undo or cache reload allocates. *)
   type state = {
     k : t;
     set : Bitset.t;
     mutable members_ : int array;
+    mutable rows : float array array;
     mutable isum : float array;
     mutable rate : int array;
     mutable count : int;
-    mutable frames : frame list;
+    mutable saved_isum : float array;
+    mutable saved_rate : int array;
+    mutable top : int;  (* live entries of the undo stack *)
   }
 
   let initial_capacity = 8
+
+  (* The frames of a full initial set: 0 + 1 + ... + 7 entries. *)
+  let initial_stack = initial_capacity * (initial_capacity - 1) / 2
 
   let start k =
     {
       k;
       set = Bitset.create k.n_links;
       members_ = Array.make initial_capacity 0;
+      rows = Array.make initial_capacity [||];
       isum = Array.make initial_capacity 0.0;
       rate = Array.make initial_capacity 0;
       count = 0;
-      frames = [];
+      saved_isum = Array.make initial_stack 0.0;
+      saved_rate = Array.make initial_stack 0;
+      top = 0;
     }
+
+  (* [a] widened to [cap] entries, keeping its first [live]. *)
+  let widen a cap zero live =
+    let a' = Array.make cap zero in
+    Array.blit a 0 a' 0 live;
+    a'
 
   (* Room for [n] members, keeping the live prefix. *)
   let reserve st n =
     let cap = Array.length st.members_ in
     if n > cap then begin
       let cap = max n (2 * cap) in
-      let grow a zero =
-        let a' = Array.make cap zero in
-        Array.blit a 0 a' 0 st.count;
-        a'
-      in
-      st.members_ <- grow st.members_ 0;
-      st.isum <- grow st.isum 0.0;
-      st.rate <- grow st.rate 0
+      st.members_ <- widen st.members_ cap 0 st.count;
+      st.rows <- widen st.rows cap [||] st.count;
+      st.isum <- widen st.isum cap 0.0 st.count;
+      st.rate <- widen st.rate cap 0 st.count
+    end
+
+  (* Room for one more frame of [count] entries on the undo stack. *)
+  let reserve_frame st =
+    let need = st.top + st.count in
+    let cap = Array.length st.saved_isum in
+    if need > cap then begin
+      let cap = max need (2 * cap) in
+      st.saved_isum <- widen st.saved_isum cap 0.0 st.top;
+      st.saved_rate <- widen st.saved_rate cap 0 st.top
     end
 
   let size st = st.count
@@ -326,79 +392,88 @@ module Inc = struct
     if p < 0 || p >= st.count then invalid_arg "Kernel.Inc.max_rate";
     st.rate.(p)
 
-  let members st = Array.to_list (Array.sub st.members_ 0 st.count)
+  let members st = List.init st.count (Array.get st.members_)
+
+  let reject () =
+    Telemetry.incr m_inc_rejects;
+    false
 
   let add st l =
     let k = st.k in
     if l < 0 || l >= k.n_links then invalid_arg "Kernel.Inc.add: link out of range";
-    if Bitset.mem st.set l || not (Bitset.inter_empty k.hd.(l) st.set) then begin
-      Telemetry.incr m_inc_rejects;
-      false
-    end
+    (* [hd.(l)] contains [l]: this also rejects a link already in the set. *)
+    if not (Bitset.inter_empty k.hd.(l) st.set) then reject ()
     else begin
+      let n = st.count in
       (* Interference at the new link's receiver from the members, in
          insertion order. *)
       let il = ref 0.0 in
-      for p = 0 to st.count - 1 do
-        il := !il +. (interf_row k st.members_.(p)).(l)
+      for p = 0 to n - 1 do
+        il := !il +. st.rows.(p).(l)
       done;
-      match best_rate k l ~interference:!il with
-      | None ->
-        Telemetry.incr m_inc_rejects;
-        false
-      | Some rl ->
+      let rl = best_rate k l ~interference:!il in
+      if rl < 0 then reject ()
+      else begin
         let row_l = interf_row k l in
+        reserve_frame st;
+        let base = st.top in
+        let isum = st.isum and rate = st.rate in
+        let saved_isum = st.saved_isum and saved_rate = st.saved_rate in
         (* Each member gains one interference term; anti-monotonicity
            means only the members' rates need rechecking — never the
-           pairings already validated. *)
-        let saved_isum = Array.make st.count 0.0 in
-        let saved_rate = Array.make st.count 0 in
+           pairings already validated.  Each member's sum and rate are
+           pushed before they change, so a rejection partway restores
+           the members already updated. *)
         let ok = ref true in
         let p = ref 0 in
-        while !ok && !p < st.count do
-          let m = st.members_.(!p) in
-          saved_isum.(!p) <- st.isum.(!p);
-          saved_rate.(!p) <- st.rate.(!p);
-          let s = st.isum.(!p) +. row_l.(m) in
+        while !ok && !p < n do
+          let q = !p in
+          let m = st.members_.(q) in
+          saved_isum.(base + q) <- isum.(q);
+          saved_rate.(base + q) <- rate.(q);
+          let s = isum.(q) +. row_l.(m) in
           (* O(1) recheck before the full scan: growing interference
              can only slow a link down, so when the current maximum
              still clears its SNR requirement (sensitivity is
              interference-independent and already held) it is still
              the maximum — the same compare [best_rate] would reach at
              that index, so verdicts stay bit-identical. *)
-          Telemetry.incr m_rate_rechecks;
           let snr = k.signal.(m) /. (s +. k.noise) in
-          if snr >= k.snr_req.(st.rate.(!p)) then begin
-            st.isum.(!p) <- s;
+          if snr >= k.snr_req.(rate.(q)) then begin
+            isum.(q) <- s;
             incr p
           end
-          else
-            (match best_rate k m ~interference:s with
-             | None -> ok := false
-             | Some r ->
-               st.isum.(!p) <- s;
-               st.rate.(!p) <- r;
-               incr p)
+          else begin
+            let r = best_rate k m ~interference:s in
+            if r < 0 then ok := false
+            else begin
+              isum.(q) <- s;
+              rate.(q) <- r;
+              incr p
+            end
+          end
         done;
+        Telemetry.add m_rate_rechecks (if !ok then n else !p + 1);
         if not !ok then begin
           for q = 0 to !p - 1 do
-            st.isum.(q) <- saved_isum.(q);
-            st.rate.(q) <- saved_rate.(q)
+            isum.(q) <- saved_isum.(base + q);
+            rate.(q) <- saved_rate.(base + q)
           done;
-          Telemetry.incr m_inc_rejects;
-          false
+          reject ()
         end
         else begin
-          reserve st (st.count + 1);
-          st.members_.(st.count) <- l;
-          st.isum.(st.count) <- !il;
-          st.rate.(st.count) <- rl;
-          st.count <- st.count + 1;
+          st.top <- base + n;
+          reserve st (n + 1);
+          st.members_.(n) <- l;
+          st.rows.(n) <- row_l;
+          st.isum.(n) <- !il;
+          st.rate.(n) <- rl;
+          st.count <- n + 1;
           Bitset.add st.set l;
-          st.frames <- { f_link = l; saved_isum; saved_rate } :: st.frames;
           Telemetry.incr m_inc_adds;
           true
         end
+      end
     end
 
   (* Ascending-discipline add: when the caller inserts links in strictly
@@ -415,40 +490,42 @@ module Inc = struct
     if l < 0 || l >= k.n_links then invalid_arg "Kernel.Inc.add: link out of range";
     if st.count > 0 && l <= st.members_.(st.count - 1) then
       invalid_arg "Kernel.Inc.add_sorted: links must be added in ascending order";
-    if Bitset.mem st.set l || not (Bitset.inter_empty k.hd.(l) st.set) then begin
-      Telemetry.incr m_inc_rejects;
-      false
-    end
+    if not (Bitset.inter_empty k.hd.(l) st.set) then reject ()
     else begin
       Bitset.add st.set l;
       match Cache.find_opt k.cache (Bitset.words st.set) with
       | Some None ->
         Telemetry.incr m_cache_hits;
         Bitset.remove st.set l;
-        Telemetry.incr m_inc_rejects;
-        false
+        reject ()
       | Some (Some e) ->
         Telemetry.incr m_cache_hits;
         let n = Array.length e.e_links in
-        let saved_isum = Array.sub st.isum 0 st.count in
-        let saved_rate = Array.sub st.rate 0 st.count in
+        reserve_frame st;
+        for p = 0 to st.count - 1 do
+          st.saved_isum.(st.top + p) <- st.isum.(p);
+          st.saved_rate.(st.top + p) <- st.rate.(p)
+        done;
+        st.top <- st.top + st.count;
         (* Members ascending = insertion order here; reload rates from
            the entry and rebuild the interference sums by pure addition
            (ascending order, as both [compute_entry] and the incremental
            accumulation produce) — no SINR work. *)
-        let rows = Array.map (fun l -> interf_row k l) e.e_links in
         reserve st n;
         for j = 0 to n - 1 do
           st.members_.(j) <- e.e_links.(j);
-          st.rate.(j) <- e.e_rates.(j);
+          st.rows.(j) <- interf_row k e.e_links.(j);
+          st.rate.(j) <- e.e_rates.(j)
+        done;
+        for j = 0 to n - 1 do
+          let lj = st.members_.(j) in
           let s = ref 0.0 in
           for i = 0 to n - 1 do
-            if i <> j then s := !s +. rows.(i).(e.e_links.(j))
+            if i <> j then s := !s +. st.rows.(i).(lj)
           done;
           st.isum.(j) <- !s
         done;
         st.count <- n;
-        st.frames <- { f_link = l; saved_isum; saved_rate } :: st.frames;
         Telemetry.incr m_inc_adds;
         true
       | None ->
@@ -475,14 +552,14 @@ module Inc = struct
     end
 
   let undo st =
-    match st.frames with
-    | [] -> invalid_arg "Kernel.Inc.undo: empty set"
-    | f :: rest ->
-      st.frames <- rest;
-      st.count <- st.count - 1;
-      Bitset.remove st.set f.f_link;
-      for p = 0 to st.count - 1 do
-        st.isum.(p) <- f.saved_isum.(p);
-        st.rate.(p) <- f.saved_rate.(p)
-      done
+    if st.count = 0 then invalid_arg "Kernel.Inc.undo: empty set";
+    let n = st.count - 1 in
+    st.count <- n;
+    Bitset.remove st.set st.members_.(n);
+    let base = st.top - n in
+    st.top <- base;
+    for p = 0 to n - 1 do
+      st.isum.(p) <- st.saved_isum.(base + p);
+      st.rate.(p) <- st.saved_rate.(base + p)
+    done
 end

@@ -37,7 +37,8 @@ val create : Wsn_net.Topology.t -> t
     (and published atomically, so concurrent views may share them), so
     memory scales with the links actually queried rather than the full
     O(links²) matrix — the difference between ~800 MB and a few MB on
-    thousand-node topologies. *)
+    thousand-node topologies.  The {!hard_conflict} memo is one array
+    of empty rows here; a row is allocated on its link's first query. *)
 
 val n_links : t -> int
 
@@ -56,8 +57,16 @@ val hard_conflict : t -> int -> int -> bool
     one of them supports no rate under the other's interference.
     Interference power is rate-independent and slower rates need less
     SNR, so this is exactly {!Model.interferes} at the two links'
-    slowest alone rates — without {!Model.feasible}'s validation, memo
-    traffic or allocation.  Symmetric; a link hard-conflicts with itself.
+    slowest alone rates — without {!Model.feasible}'s validation or the
+    whole-set memo.  Symmetric; a link hard-conflicts with itself.
+
+    The verdict is computed once per pair and kernel: it is filled
+    lazily into per-link byte rows (unknown / compatible / conflict),
+    written to both links' rows, and a row is allocated on its link's
+    first query.  {!fork} views share the rows.  Concurrent fills race
+    without locks, but every byte only ever goes from unknown to the
+    pair's one true verdict, so a racing query sees that verdict or
+    unknown — a lost fill is recomputed, never wrong.
     @raise Invalid_argument when a link is out of range. *)
 
 val max_vector : t -> int list -> Wsn_radio.Rate.t array option
@@ -73,8 +82,9 @@ val feasible : t -> (int * Wsn_radio.Rate.t) list -> bool
 
 val fork : t -> t
 (** A worker-local view: shares every precomputed (read-only) table
-    with the parent but owns fresh, empty memo stores, so concurrent
-    queries on distinct views never race.  Entries memoised in a view
+    and the {!hard_conflict} memo with the parent but owns fresh, empty
+    whole-set and scratch stores, so concurrent queries on distinct
+    views never race on a hash table.  Entries memoised in a view
     are pure functions of the kernel; fold them back with {!merge}. *)
 
 val merge : into:t -> t -> unit
@@ -95,10 +105,14 @@ val scratch : t -> (string, exn) Hashtbl.t
     time, checking only the new link against the running partial set
     and updating every member's interference sum and maximum rate in
     O(|set|).  Backtracking ([undo]) restores the exact previous
-    floats, so DFS enumeration is bit-stable.  A state's member arrays
-    start at eight entries and double as the set grows, so {!Inc.start}
-    allocates those and one link bitset, not three arrays with an entry
-    per link. *)
+    floats, so DFS enumeration is bit-stable: every add pushes the
+    earlier members' sums and rates on one flat undo stack (the
+    [d]-th member's add saves [d - 1] entries) and undo pops them.  A
+    state's member arrays start at eight entries, its stack at the
+    frames of eight members, and both double as the set grows, so
+    {!Inc.start} allocates those and one link bitset, not arrays with
+    an entry per link — and once grown, no add, undo or cache reload
+    allocates. *)
 module Inc : sig
   type state
 

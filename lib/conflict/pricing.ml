@@ -43,16 +43,17 @@ let add row base p = row.(base + (p / bits)) <- row.(base + (p / bits)) lor (1 l
 
 let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
   let tbl = Model.rates model in
-  let mbps r = Rate.mbps tbl r in
+  let mbps = Array.init (Rate.n_rates tbl) (Rate.mbps tbl) in
   (* Candidates: positive-weight live links, best-case value first. *)
   let candidates =
     List.filter_map
       (fun l ->
-        if weights l <= eps then None
+        let w = weights l in
+        if w <= eps then None
         else
           match Model.alone_best model l with
           | None -> None
-          | Some best -> Some (l, weights l, weights l *. mbps best))
+          | Some best -> Some (l, w, w *. mbps.(best)))
       (List.sort_uniq compare universe)
     |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)
     |> Array.of_list
@@ -60,6 +61,8 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
   let n = Array.length candidates in
   if n = 0 then None
   else begin
+    let link = Array.map (fun (l, _, _) -> l) candidates in
+    let weight = Array.map (fun (_, w, _) -> w) candidates in
     let best_case = Array.map (fun (_, _, v) -> v) candidates in
     (* Row [p] (at [p * words]): the candidate positions
        hard-conflicting with position [p], itself included. *)
@@ -95,18 +98,12 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
       end
     done;
     let cover = Array.of_list (List.rev !cliques) in
-    (* first.(c).(i): index in [cover.(c)] of its first position >= i. *)
-    let first =
-      Array.map
-        (fun members ->
-          let f = Array.make (n + 1) (Array.length members) in
-          for i = n - 1 downto 0 do
-            f.(i) <- f.(i + 1);
-            if f.(i) > 0 && members.(f.(i) - 1) = i then f.(i) <- f.(i) - 1
-          done;
-          f)
-        cover
-    in
+    let n_cliques = Array.length cover in
+    (* Clique [c]'s positions as a word row at [c * words], and its
+       last (largest) position. *)
+    let clique_rows = Array.make (n_cliques * words) 0 in
+    Array.iteri (fun c members -> Array.iter (add clique_rows (c * words)) members) cover;
+    let last = Array.map (fun members -> members.(Array.length members - 1)) cover in
     (* Monotone incumbent value, shared across subtrees for pruning. *)
     let bound = Atomic.make 0.0 in
     let rec publish v =
@@ -124,19 +121,27 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
       let best_key = ref [] in
       let nodes = ref 0 in
       (* Row [d] of [blocked]: the positions hard-conflicting with one
-         of the [d] members chosen on the current path. *)
+         of the [d] members chosen on the current path.  Row 0 stays
+         empty; row [d + 1] is written before any read below it. *)
       let blocked = Array.make ((n + 1) * words) 0 in
       (* Best additional value collectable from positions [i..] at
-         depth [d]: the first unblocked member of each cover clique. *)
+         depth [d]: the first unblocked member of each cover clique, a
+         clique's lowest set bit of its row minus the blocked positions
+         and those below [i].  A clique with nothing left adds no term. *)
       let potential d i =
         let total = ref 0.0 in
-        for c = 0 to Array.length cover - 1 do
-          let members = cover.(c) in
-          let k = ref first.(c).(i) in
-          while !k < Array.length members && mem blocked (d * words) members.(!k) do
-            incr k
-          done;
-          if !k < Array.length members then total := !total +. best_case.(members.(!k))
+        let x0 = i / bits in
+        let below = (1 lsl (i mod bits)) - 1 in
+        for c = 0 to n_cliques - 1 do
+          if last.(c) >= i then begin
+            let x = ref x0 in
+            let m = ref (clique_rows.((c * words) + x0) land lnot (below lor blocked.((d * words) + x0))) in
+            while !m = 0 && !x < words - 1 do
+              incr x;
+              m := clique_rows.((c * words) + !x) land lnot blocked.((d * words) + !x)
+            done;
+            if !m <> 0 then total := !total +. best_case.((!x * bits) + Bitset.lowest_bit !m)
+          end
         done;
         !total
       in
@@ -164,6 +169,10 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
       let rec branch d i value =
         incr nodes;
         record value;
+        descend d i value
+      (* The children of a node worth [value] at depth [d] from
+         candidate [i] on. *)
+      and descend d i value =
         (* A blocked candidate would fail [extend] (hard conflicts
            are anti-monotone): step over it without trying. *)
         let i = ref i in
@@ -176,8 +185,12 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
           if optimistic > !best_value && optimistic >= Atomic.get bound then begin
             choose d i;
             extend value i (branch (d + 1) (i + 1));
-            (* Or skip it. *)
-            branch d (i + 1) value
+            (* Or skip it: a node with its parent's members, value
+               and key, which [record] already saw — the incumbent
+               only grew or took a smaller key since, so recording
+               it again could change nothing. *)
+            incr nodes;
+            descend d (i + 1) value
           end
         end
       in
@@ -189,10 +202,6 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
       end;
       Telemetry.add m_nodes !nodes;
       (!best_value, !best_key)
-    in
-    let link p =
-      let l, _, _ = candidates.(p) in
-      l
     in
     let roots = Array.init n (fun i -> i) in
     let results =
@@ -207,7 +216,7 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
            in insertion order from [0.0], the sum a rate-branching
            search accumulates along the path to that vector.  [Inc.add]
            touches only its own state and the kernel's read-only tables
-           (never the shared memo), so subtrees with per-domain states
+           (never the shared memo), so subtrees with per-subtree states
            search one kernel concurrently. *)
         Pool.map (Pool.global ())
           (fun root ->
@@ -215,13 +224,12 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
             (* pos.(p): candidate position of the [p]-th member. *)
             let pos = Array.make n 0 in
             let extend _ i enter =
-              if Kernel.Inc.add st (link i) then begin
+              if Kernel.Inc.add st link.(i) then begin
                 let sz = Kernel.Inc.size st in
                 pos.(sz - 1) <- i;
                 let value = ref 0.0 in
                 for p = 0 to sz - 1 do
-                  let _, w, _ = candidates.(pos.(p)) in
-                  value := !value +. (w *. mbps (Kernel.Inc.max_rate st p))
+                  value := !value +. (weight.(pos.(p)) *. mbps.(Kernel.Inc.max_rate st p))
                 done;
                 enter !value;
                 Kernel.Inc.undo st
@@ -243,17 +251,17 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
             (* (position, rate) pairs, newest first. *)
             let path = ref [] in
             let extend value i enter =
-              let _, w, _ = candidates.(i) in
+              let w = weight.(i) in
               List.iter
                 (fun r ->
                   let extended = (i, r) :: !path in
-                  if Model.feasible model (List.rev_map (fun (p, r) -> (link p, r)) extended)
+                  if Model.feasible model (List.rev_map (fun (p, r) -> (link.(p), r)) extended)
                   then begin
                     path := extended;
-                    enter (value +. (w *. mbps r));
+                    enter (value +. (w *. mbps.(r)));
                     path := List.tl !path
                   end)
-                (Model.alone_rates model (link i))
+                (Model.alone_rates model link.(i))
             in
             subtree ~extend ~current:(fun () -> List.rev !path) root)
           roots
@@ -268,5 +276,5 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
         end)
       results;
     if !best_key = [] then None
-    else Some (List.map (fun (p, r) -> (link p, r)) !best_key, !best_value)
+    else Some (List.map (fun (p, r) -> (link.(p), r)) !best_key, !best_value)
   end

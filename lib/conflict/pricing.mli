@@ -23,8 +23,9 @@
     set search.
 
     The bound comes from the hard-conflict graph of the candidates
-    ({!Model.hard_conflict}: pairs that clash at every rate pair),
-    built per call and covered greedily by cliques.  At most one
+    ({!Model.hard_conflict}: pairs that clash at every rate pair, a
+    memo read per pair on kernel-backed models), built per call and
+    covered greedily by cliques.  At most one
     member of a clique transmits, and none that hard-conflicts with a
     chosen link, so a branch is cut when even the best unblocked
     member of every clique cannot beat the incumbent; blocked links are

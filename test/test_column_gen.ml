@@ -703,3 +703,63 @@ let set_search_suite =
   ]
 
 let suite = suite @ set_search_suite
+
+(* --- the exact pricer on several domains and past one word ------------ *)
+
+(* Pool workers claim the roots' subtrees in any order, each with its own
+   search state, and the results are folded in root order, so the column
+   is the one-domain column at any domain count — under exact ties too,
+   and with fewer candidates than domains. *)
+let qcheck_exact_pricing_domains =
+  QCheck.Test.make ~name:"exact pricer identical at 1, 2 and 3 domains" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng, fast, _ = random_small_world seed in
+      let n_links = Model.n_links fast in
+      let weights = tie_weights rng n_links in
+      let universe = List.init n_links Fun.id in
+      let at d =
+        Wsn_parallel.Pool.set_domains d;
+        Fun.protect
+          ~finally:(fun () -> Wsn_parallel.Pool.set_domains 1)
+          (fun () -> Pricing.max_weight_independent fast ~weights ~universe)
+      in
+      let one = at 1 in
+      one = at 2 && one = at 3)
+
+(* The kernel-backed set search past one word ("exact pricing past one
+   word" above covers the declared model's rate search).  Fifteen to
+   twenty nodes in a 260 m square give over a hundred links, so the
+   candidates' conflict rows and the cover's clique rows span several
+   63-bit words; the column must be the naive model's. *)
+let test_set_search_multiword () =
+  let widest = ref 0 in
+  for seed = 1 to 6 do
+    let rng = Wsn_prng.Pcg32.create (Int64.of_int seed) in
+    let topo =
+      Wsn_net.Topology.create
+        (Array.init (14 + seed) (fun _ ->
+             Wsn_net.Point.make (Wsn_prng.Pcg32.uniform rng 0.0 260.0)
+               (Wsn_prng.Pcg32.uniform rng 0.0 260.0)))
+    in
+    let n = Wsn_net.Topology.n_links topo in
+    widest := max !widest n;
+    let w = Array.init n (fun _ -> Wsn_prng.Pcg32.uniform rng 0.0 1.0) in
+    let price model =
+      Pricing.max_weight_independent model ~weights:(fun l -> w.(l)) ~universe:(List.init n Fun.id)
+    in
+    match (price (Model.physical topo), price (Model.physical_naive topo)) with
+    | Some (a, v), Some (a', v') ->
+      check Alcotest.bool "same column" true (a = a');
+      check Alcotest.string "same value" (Printf.sprintf "%h" v') (Printf.sprintf "%h" v)
+    | _ -> Alcotest.fail "a dense square always has a live link"
+  done;
+  check Alcotest.bool "past two words" true (!widest > 126)
+
+let domains_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_exact_pricing_domains;
+    Alcotest.test_case "set search past one word = rate search" `Quick test_set_search_multiword;
+  ]
+
+let suite = suite @ domains_suite

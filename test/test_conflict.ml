@@ -534,6 +534,25 @@ let suite = suite @ kernel_suite
 
 module Kernel = Wsn_conflict.Kernel
 
+(* Every ordered pair of [n] links, in a random order. *)
+let shuffled_pairs rng n =
+  let pairs = Array.of_list (List.concat_map (fun i -> List.init n (fun j -> (i, j))) (List.init n Fun.id)) in
+  for x = Array.length pairs - 1 downto 1 do
+    let y = Pcg32.next_below rng (x + 1) in
+    let t = pairs.(x) in
+    pairs.(x) <- pairs.(y);
+    pairs.(y) <- t
+  done;
+  Array.to_list pairs
+
+(* [v.(i).(j)] for [i <= j]: the hard-conflict verdicts of a kernel of
+   their own that asks each unordered pair once, so no answer comes from
+   its memo. *)
+let fresh_verdicts topo =
+  let k = Option.get (Model.kernel (Model.physical topo)) in
+  let n = Topology.n_links topo in
+  Array.init n (fun i -> Array.init n (fun j -> j >= i && Kernel.hard_conflict k i j))
+
 (* On SINR models a hard conflict is exactly interference at the two
    slowest alone rates (interference power is rate-independent and
    slower rates need less SNR), both through the kernel and through the
@@ -566,7 +585,16 @@ let qcheck_hard_conflict_is_slowest_rate_interference =
             && hard = Model.hard_conflict naive i j
             && hard = Model.hard_conflict fast i j
             && hard = Kernel.hard_conflict k j i)
-          (List.init 60 Fun.id))
+          (List.init 60 Fun.id)
+        (* The memo: every ordered pair, asked of the kernel just warmed
+           in a shuffled order, answers as a fresh kernel that computes
+           each unordered pair once. *)
+        && begin
+          let expected = fresh_verdicts topo in
+          List.for_all
+            (fun (i, j) -> Kernel.hard_conflict k i j = expected.(min i j).(max i j))
+            (shuffled_pairs rng (Topology.n_links topo))
+        end)
 
 let test_declared_hard_conflict () =
   (* Links 0 and 1 clash only when both run at 36 — a declared predicate
@@ -589,10 +617,228 @@ let test_declared_hard_conflict () =
   check Alcotest.bool "a link with itself" true (Model.hard_conflict model 1 1);
   check Alcotest.bool "a dead link, vacuously" true (Model.hard_conflict model 3 1)
 
+module Registry = Wsn_telemetry.Registry
+
+(* [f ()] and the amount counter [name] grew during it. *)
+let counting name f =
+  let c = Registry.counter name in
+  let was = Registry.is_enabled () in
+  Registry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Registry.set_enabled was)
+    (fun () ->
+      let before = Registry.counter_value c in
+      let r = f () in
+      (r, Registry.counter_value c - before))
+
+(* Hard-conflict verdicts are pure, so a kernel computes each one once:
+   a second pass over every pair makes no rate evaluation. *)
+let test_hard_conflict_memo_counts () =
+  let rng = Pcg32.create 7L in
+  let topo = random_topology rng ~nodes:10 ~side:400.0 in
+  let k = Option.get (Model.kernel (Model.physical topo)) in
+  let pairs = shuffled_pairs rng (Topology.n_links topo) in
+  let pass () = List.map (fun (i, j) -> Kernel.hard_conflict k i j) pairs in
+  let first, cold = counting "kernel.rate_evals" pass in
+  let second, warm = counting "kernel.rate_evals" pass in
+  check Alcotest.bool "the first pass evaluates rates" true (cold > 0);
+  check Alcotest.int "the second pass evaluates none" 0 warm;
+  check Alcotest.(list bool) "same verdicts" first second
+
 let hard_conflict_suite =
   [
     QCheck_alcotest.to_alcotest qcheck_hard_conflict_is_slowest_rate_interference;
     Alcotest.test_case "declared hard conflicts" `Quick test_declared_hard_conflict;
+    Alcotest.test_case "hard_conflict memo: a second pass evaluates no rate" `Quick
+      test_hard_conflict_memo_counts;
   ]
 
 let suite = suite @ hard_conflict_suite
+
+(* --- the Inc undo stack ------------------------------------------------ *)
+
+module Inc = Kernel.Inc
+
+let inc_snapshot st = (Inc.members st, List.init (Inc.size st) (Inc.max_rate st))
+
+(* Whether the state's members and rates are the whole-set answer of
+   [reference], a kernel no state writes to. *)
+let agrees_with reference st =
+  let members, rates = inc_snapshot st in
+  match Kernel.max_vector reference members with
+  | Some v -> Array.to_list v = rates
+  | None -> members = []
+
+let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | _ -> true
+
+(* A random walk of [add], [add_sorted] (whenever the members ascend and
+   the link tops them, so the ascending discipline holds) and [undo]:
+   every undo restores the snapshot taken before its add, every
+   rejection leaves the state as it was, and every accepted set carries
+   the whole-set rates.  Twenty-four nodes leave room for sets past the
+   stack's initial eight frames. *)
+let qcheck_inc_undo_stack =
+  QCheck.Test.make ~name:"Kernel.Inc undo restores the pre-add state (add, add_sorted, undo)"
+    ~count:40
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let rng = Pcg32.create (Int64.of_int seed) in
+      let topo = random_topology rng ~nodes:24 ~side:600.0 in
+      let k = Option.get (Model.kernel (Model.physical topo)) in
+      let reference = Option.get (Model.kernel (Model.physical topo)) in
+      let n = Kernel.n_links k in
+      n = 0
+      ||
+      let st = Inc.start k in
+      let saved = Stack.create () in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        if Pcg32.next_below rng 4 = 0 && Inc.size st > 0 then begin
+          Inc.undo st;
+          if inc_snapshot st <> Stack.pop saved then ok := false
+        end
+        else begin
+          let l = Pcg32.next_below rng n in
+          let before = inc_snapshot st in
+          let members = fst before in
+          let sorted =
+            ascending members && List.for_all (fun m -> m < l) members
+            && Pcg32.next_below rng 2 = 0
+          in
+          let added = (if sorted then Inc.add_sorted else Inc.add) st l in
+          let expect =
+            (not (List.mem l members)) && Kernel.max_vector reference (members @ [ l ]) <> None
+          in
+          if added <> expect then ok := false;
+          if added then Stack.push before saved
+          else if inc_snapshot st <> before then ok := false
+        end;
+        if not (agrees_with reference st) then ok := false
+      done;
+      !ok)
+
+(* Links by endpoints in a topology built from points on a line. *)
+let line_links xs pairs =
+  let topo = Topology.create (Array.of_list (List.map (fun x -> Point.make x 0.0) xs)) in
+  let link (s, d) =
+    match Wsn_graph.Digraph.find_edge (Topology.graph topo) ~src:s ~dst:d with
+    | Some e -> e.Wsn_graph.Digraph.id
+    | None -> Alcotest.fail "missing link"
+  in
+  (topo, List.map link pairs)
+
+(* Links A (0 → 55 m) and B (450 → 395 m), then C (330 → 275 m), whose
+   transmitter sits 275 m from A's receiver and 65 m from B's: C itself
+   clears a rate, the recheck slows A first, then finds B starved — the
+   rejection must put A's sum and rate back.  A state that never tried
+   C then agrees with this one on every later add.  Separately, twelve
+   links along a line (as in the growth test above) take the stack past
+   its initial capacity with frames live, and unwinding it restores
+   every snapshot. *)
+let test_inc_undo_stack_restore_and_growth () =
+  let state = Alcotest.(pair (list int) (list int)) in
+  let topo, abcd =
+    line_links [ 0.0; 55.0; 450.0; 395.0; 330.0; 275.0; 2700.0; 2755.0 ]
+      [ (0, 1); (2, 3); (4, 5); (6, 7) ]
+  in
+  let a, b, c, d =
+    match abcd with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+  in
+  let reference = Option.get (Model.kernel (Model.physical topo)) in
+  let rate_of_a set =
+    match Kernel.max_vector reference set with
+    | Some v -> v.(0)
+    | None -> Alcotest.fail "set must be feasible"
+  in
+  check Alcotest.bool "C slows A" true (rate_of_a [ a; c ] > rate_of_a [ a; b ]);
+  check Alcotest.bool "A, B and C are not feasible" true
+    (Kernel.max_vector reference [ a; b; c ] = None);
+  let k = Option.get (Model.kernel (Model.physical topo)) in
+  let tried = Inc.start k and plain = Inc.start k in
+  List.iter (fun l -> ignore (Inc.add tried l); ignore (Inc.add plain l)) [ a; b ];
+  let before = inc_snapshot tried in
+  let rejected, rechecks = counting "kernel.rate_rechecks" (fun () -> not (Inc.add tried c)) in
+  check Alcotest.bool "C rejected" true rejected;
+  check Alcotest.int "rejected at B, after A's recheck" 2 rechecks;
+  check state "the rejection restores A" before (inc_snapshot tried);
+  check Alcotest.bool "same verdict on D" (Inc.add plain d) (Inc.add tried d);
+  check state "same state after D" (inc_snapshot plain) (inc_snapshot tried);
+  check Alcotest.bool "= max_vector" true (agrees_with reference tried);
+  (* Growth: add the line's links (alternating [add] and [add_sorted]),
+     unwind to two members, grow again with [add] alone (an
+     [add_sorted] cache hit would rebuild every sum and hide a bad
+     restore), unwind fully. *)
+  let n_pairs = 12 in
+  let xs = List.init (2 * n_pairs) (fun i -> (300.0 *. float_of_int (i / 2)) +. (55.0 *. float_of_int (i mod 2))) in
+  let topo, links = line_links xs (List.init n_pairs (fun p -> (2 * p, (2 * p) + 1))) in
+  let links = List.sort compare links in
+  let reference = Option.get (Model.kernel (Model.physical topo)) in
+  let st = Inc.start (Option.get (Model.kernel (Model.physical topo))) in
+  let saved = Stack.create () in
+  let grow adder =
+    List.iteri
+      (fun i l ->
+        if not (List.mem l (Inc.members st)) then begin
+          let before = inc_snapshot st in
+          check Alcotest.bool "accepted" true (adder i st l);
+          Stack.push before saved;
+          check Alcotest.bool "grown state = max_vector" true (agrees_with reference st)
+        end)
+      links
+  in
+  let unwind_to size =
+    while Inc.size st > size do
+      Inc.undo st;
+      check state "undo restores the pre-add state" (Stack.pop saved) (inc_snapshot st)
+    done
+  in
+  grow (fun i -> if i mod 2 = 0 then Inc.add else Inc.add_sorted);
+  check Alcotest.int "all twelve members" n_pairs (Inc.size st);
+  check Alcotest.bool "rates fell as the set grew" true
+    (List.exists (fun r -> r > 0) (snd (inc_snapshot st)));
+  unwind_to 2;
+  grow (fun _ -> Inc.add);
+  unwind_to 0
+
+let inc_stack_suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_inc_undo_stack;
+    Alcotest.test_case "Kernel.Inc undo stack: partway rejection, growth" `Quick
+      test_inc_undo_stack_restore_and_growth;
+  ]
+
+let suite = suite @ inc_stack_suite
+
+(* --- on worker domains ------------------------------------------------- *)
+
+(* Two fork views of one kernel share its hard-conflict memo.  Filled
+   concurrently from pool workers, each in its own shuffled order, both
+   views — and then the parent — answer every pair as a fresh kernel. *)
+let test_hard_conflict_memo_forks () =
+  List.iter
+    (fun seed ->
+      let rng = Pcg32.create (Int64.of_int seed) in
+      let topo = random_topology rng ~nodes:12 ~side:400.0 in
+      let expected = fresh_verdicts topo in
+      let n = Topology.n_links topo in
+      let k = Option.get (Model.kernel (Model.physical topo)) in
+      let orders = Array.init 2 (fun _ -> shuffled_pairs rng n) in
+      let answers =
+        Wsn_parallel.Pool.with_pool ~domains:2 (fun pool ->
+            Wsn_parallel.Pool.map pool
+              (fun order ->
+                let view = Kernel.fork k in
+                List.map (fun (i, j) -> ((i, j), Kernel.hard_conflict view i j)) order)
+              orders)
+      in
+      let agree =
+        List.for_all (fun ((i, j), v) -> v = expected.(min i j).(max i j))
+      in
+      check Alcotest.bool "first view" true (agree answers.(0));
+      check Alcotest.bool "second view" true (agree answers.(1));
+      check Alcotest.bool "parent" true
+        (agree (List.map (fun (i, j) -> ((i, j), Kernel.hard_conflict k i j)) orders.(0))))
+    [ 1; 2; 3; 4 ]
+
+let domain_suite =
+  [ Alcotest.test_case "hard_conflict memo shared by fork views on workers" `Quick test_hard_conflict_memo_forks ]

@@ -27,6 +27,7 @@ let () =
          the engine suite exercises the forked pool. *)
       ("parallel", Test_parallel.suite);
       ("telemetry-domains", Test_telemetry.domain_suite);
+      ("conflict-domains", Test_conflict.domain_suite);
       ("lp-domains", Test_lp.domain_suite);
       ("joint", Test_joint.suite);
       ("column-gen", Test_column_gen.suite);
