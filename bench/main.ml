@@ -9,6 +9,7 @@
 module S2 = Wsn_workload.Scenarios.Scenario_ii
 module RS = Wsn_workload.Scenarios.Random_scenario
 module Registry = Wsn_telemetry.Registry
+module Json = Wsn_telemetry.Json
 
 (* --- figure regeneration ------------------------------------------- *)
 
@@ -85,7 +86,7 @@ let figures ~seed ~quick:_ ~out =
           snap.Registry.spans;
     }
   in
-  Wsn_telemetry.Export.write_file out deterministic;
+  Json.write_file out (Wsn_telemetry.Export.to_json deterministic);
   Printf.printf "wrote telemetry baseline to %s (seed %Ld)\n" out seed;
   Registry.set_enabled false;
   []
@@ -199,26 +200,30 @@ let counter_of arm name = match List.assoc_opt name arm.counters with Some v -> 
    precomputed power sums. *)
 let sinr_work arm = counter_of arm "phy.sinr_evals" + counter_of arm "kernel.rate_evals"
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-
 (* Every field is a counter, so the artifact is a pure function of the
    seed. *)
-let write_perf_json ~path ~seed ~quick ~naive ~fast ~identical =
-  let buf = Buffer.create 4096 in
-  let arm_json a =
-    Printf.sprintf "{\"counters\":{%s}}"
-      (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" n v) a.counters))
+let perf_json ~seed ~quick ~naive ~fast ~identical =
+  let arm a =
+    Json.Obj [ ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.counters)) ]
   in
-  let ratio num den = if den > 0.0 then json_float (num /. den) else "null" in
-  Printf.bprintf buf "{\n  \"seed\": %Ld,\n  \"quick\": %b,\n" seed quick;
-  Printf.bprintf buf "  \"outputs_identical\": %b,\n" identical;
-  Printf.bprintf buf "  \"sinr_evals\": {\"naive\": %d, \"fast\": %d, \"ratio\": %s},\n"
-    (sinr_work naive) (sinr_work fast)
-    (ratio (float_of_int (sinr_work naive)) (float_of_int (sinr_work fast)));
-  Printf.bprintf buf "  \"naive\": %s,\n  \"fast\": %s\n}\n" (arm_json naive) (arm_json fast);
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let ratio num den =
+    if den > 0 then Json.Sig9 (float_of_int num /. float_of_int den) else Json.Null
+  in
+  Json.Obj
+    [
+      ("seed", Json.Int64 seed);
+      ("quick", Json.Bool quick);
+      ("outputs_identical", Json.Bool identical);
+      ( "sinr_evals",
+        Json.Obj
+          [
+            ("naive", Json.Int (sinr_work naive));
+            ("fast", Json.Int (sinr_work fast));
+            ("ratio", ratio (sinr_work naive) (sinr_work fast));
+          ] );
+      ("naive", arm naive);
+      ("fast", arm fast);
+    ]
 
 let perf ~seed ~quick ~out ~baseline_out ~check =
   let n_flows = if quick then 4 else 8 in
@@ -239,7 +244,7 @@ let perf ~seed ~quick ~out ~baseline_out ~check =
   Printf.printf "  outputs identical (kernel vs naive): %b\n" identical;
   Printf.printf "  SINR-eval ratio: %.1fx fewer\n"
     (float_of_int (sinr_work naive) /. float_of_int (max 1 (sinr_work fast)));
-  write_perf_json ~path:out ~seed ~quick ~naive ~fast ~identical;
+  Json.write_file out (perf_json ~seed ~quick ~naive ~fast ~identical);
   Printf.printf "wrote %s\n" out;
   (match baseline_out with
    | None -> ()
@@ -337,33 +342,27 @@ let serve_bench ~seed ~quick ~out =
   Printf.printf "  memo hits %d, schedule reuses %d, pool inserts %d, pool seeds replayed %d\n%!"
     (warm "server.memo_hits") (warm "server.schedule_reuses")
     (warm "colgen.pool_inserts") (warm "colgen.pool_hits");
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"quick\": %b,\n\
-    \  \"seed\": %Ld,\n\
-    \  \"n_ops\": %d,\n\
-    \  \"transcripts_identical\": %b,\n\
-    \  \"transcript_md5\": \"%s\",\n\
-    \  \"warm_lp_pivots\": %d,\n\
-    \  \"cold_lp_pivots\": %d,\n\
-    \  \"warm_kernel_rate_evals\": %d,\n\
-    \  \"cold_kernel_rate_evals\": %d,\n\
-    \  \"admits\": %d,\n\
-    \  \"rejects\": %d,\n\
-    \  \"queries\": %d,\n\
-    \  \"releases\": %d,\n\
-    \  \"memo_hits\": %d,\n\
-    \  \"schedule_reuses\": %d,\n\
-    \  \"pool_inserts\": %d,\n\
-    \  \"pool_hits\": %d\n\
-     }\n"
-    quick seed n_ops identical digest warm_pivots cold_pivots (warm "kernel.rate_evals")
-    (cold "kernel.rate_evals") (warm "server.admits")
-    (warm "server.rejects") (warm "server.queries") (warm "server.releases")
-    (warm "server.memo_hits") (warm "server.schedule_reuses") (warm "colgen.pool_inserts")
-    (warm "colgen.pool_hits");
-  close_out oc;
+  Json.write_file out
+    (Json.Obj
+       [
+         ("quick", Json.Bool quick);
+         ("seed", Json.Int64 seed);
+         ("n_ops", Json.Int n_ops);
+         ("transcripts_identical", Json.Bool identical);
+         ("transcript_md5", Json.Str digest);
+         ("warm_lp_pivots", Json.Int warm_pivots);
+         ("cold_lp_pivots", Json.Int cold_pivots);
+         ("warm_kernel_rate_evals", Json.Int (warm "kernel.rate_evals"));
+         ("cold_kernel_rate_evals", Json.Int (cold "kernel.rate_evals"));
+         ("admits", Json.Int (warm "server.admits"));
+         ("rejects", Json.Int (warm "server.rejects"));
+         ("queries", Json.Int (warm "server.queries"));
+         ("releases", Json.Int (warm "server.releases"));
+         ("memo_hits", Json.Int (warm "server.memo_hits"));
+         ("schedule_reuses", Json.Int (warm "server.schedule_reuses"));
+         ("pool_inserts", Json.Int (warm "colgen.pool_inserts"));
+         ("pool_hits", Json.Int (warm "colgen.pool_hits"));
+       ]);
   Printf.printf "wrote %s\n" out;
   let identity =
     if identical then []
@@ -442,12 +441,13 @@ let scale_bench ~seed ~quick ~out =
         let ppc = resolve_pivots /. Float.max 1.0 (float_of_int lp_columns) in
         let degen = counter "lp.degenerate_pivots" in
         let lp_fields =
-          Printf.sprintf
-            "\"pivots_per_column\": %.3f, \"degenerate_pivots\": %d, \"lp_columns\": %d, \
-             \"box_widenings\": %d, \"elim_cells\": %d"
-            ppc degen lp_columns
-            (counter "colgen.stab_box_widenings")
-            (counter "lp.elim_cells")
+          [
+            ("pivots_per_column", Json.Fixed (3, ppc));
+            ("degenerate_pivots", Json.Int degen);
+            ("lp_columns", Json.Int lp_columns);
+            ("box_widenings", Json.Int (counter "colgen.stab_box_widenings"));
+            ("elim_cells", Json.Int (counter "lp.elim_cells"));
+          ]
         in
         Printf.printf
           "  n=%4d demand=%.1f links=%5d universe=%4d shards=%d lower=%.3f upper=%.3f \
@@ -475,26 +475,34 @@ let scale_bench ~seed ~quick ~out =
   in
   Printf.printf "  auto = exact at n=30 (wire): %b; bracket sound: %b; n=300 certified: %b\n%!"
     wire_identical bracket_sound certified_300;
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"quick\": %b,\n  \"seed\": %Ld,\n  \"wire_identical_n30\": %b,\n"
-    quick seed wire_identical;
-  Printf.fprintf oc "  \"bracket_sound\": %b,\n  \"rows\": [\n" bracket_sound;
-  List.iteri
-    (fun i (demand, r, lp_fields) ->
-      Printf.fprintf oc
-        "    { \"n_nodes\": %d, \"demand_mbps\": %.3f, \"n_links\": %d, \"n_flows\": %d, \
-         \"universe\": %d, \"shards\": %d,\n\
-        \      \"lower_mbps\": %.3f, \"upper_mbps\": %.3f, \"gap_mbps\": %.3f, \
-         \"certified\": %b,\n\
-        \      \"columns\": %d, \"iterations\": %d,\n      %s }%s\n"
-        r.Scale.n_nodes demand r.Scale.n_links r.Scale.n_flows r.Scale.universe
-        r.Scale.n_shards (Proto.mbps r.Scale.lower_mbps) (Proto.mbps r.Scale.upper_mbps)
-        (Proto.mbps r.Scale.gap_mbps) r.Scale.certified r.Scale.columns r.Scale.iterations
-        lp_fields
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let mbps x = Json.Fixed (3, Proto.mbps x) in
+  let row (demand, r, lp_fields) =
+    Json.Obj
+      ([
+         ("n_nodes", Json.Int r.Scale.n_nodes);
+         ("demand_mbps", Json.Fixed (3, demand));
+         ("n_links", Json.Int r.Scale.n_links);
+         ("n_flows", Json.Int r.Scale.n_flows);
+         ("universe", Json.Int r.Scale.universe);
+         ("shards", Json.Int r.Scale.n_shards);
+         ("lower_mbps", mbps r.Scale.lower_mbps);
+         ("upper_mbps", mbps r.Scale.upper_mbps);
+         ("gap_mbps", mbps r.Scale.gap_mbps);
+         ("certified", Json.Bool r.Scale.certified);
+         ("columns", Json.Int r.Scale.columns);
+         ("iterations", Json.Int r.Scale.iterations);
+       ]
+      @ lp_fields)
+  in
+  Json.write_file out
+    (Json.Obj
+       [
+         ("quick", Json.Bool quick);
+         ("seed", Json.Int64 seed);
+         ("wire_identical_n30", Json.Bool wire_identical);
+         ("bracket_sound", Json.Bool bracket_sound);
+         ("rows", Json.List (List.map row rows));
+       ]);
   Printf.printf "wrote %s\n" out;
   failures
     [
@@ -565,26 +573,32 @@ let soak_bench ~seed ~quick ~out =
     "  profile n=%d: churn=%d PHY evals rebuild=%d incremental=%d (%.2fx) identical=%b\n%!"
     profile_n (List.length churn_moved) rebuild_evals patch_evals evals_ratio
     profile_identical;
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.6f" v in
-  let errors_json errs =
-    String.concat ", "
-      (List.map (fun (name, e) -> Printf.sprintf "\"%s\": %s" name (num e)) errs)
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"quick\": %b,\n  \"seed\": %Ld,\n  \"n_nodes\": %d,\n  \"epochs\": %d,\n\
-    \  \"horizon_h\": %.3f,\n  \"window_us\": %d,\n  \"tracked_epochs\": %d,\n\
-    \  \"churn_epochs\": %d,\n  \"kernel_digests_identical\": %b,\n\
-    \  \"rows_identical\": %b,\n  \"tracking_error_mbps\": { %s },\n\
-    \  \"staleness_error_mbps\": { %s },\n\
-    \  \"profile\": { \"n_nodes\": %d, \"churn_epochs\": %d, \"digests_identical\": %b,\n\
-    \    \"rebuild_phy_evals\": %d, \"incremental_phy_evals\": %d }\n}\n"
-    quick seed Dscenario.default.Dscenario.n_nodes epochs horizon_h window_us
-    tracked churn digests_identical outputs_identical
-    (errors_json (Dsoak.tracking_errors inc))
-    (errors_json (Dsoak.staleness_errors inc))
-    profile_n (List.length churn_moved) profile_identical rebuild_evals patch_evals;
-  close_out oc;
+  let errors errs = Json.Obj (List.map (fun (name, e) -> (name, Json.Fixed (6, e))) errs) in
+  Json.write_file out
+    (Json.Obj
+       [
+         ("quick", Json.Bool quick);
+         ("seed", Json.Int64 seed);
+         ("n_nodes", Json.Int Dscenario.default.Dscenario.n_nodes);
+         ("epochs", Json.Int epochs);
+         ("horizon_h", Json.Fixed (3, horizon_h));
+         ("window_us", Json.Int window_us);
+         ("tracked_epochs", Json.Int tracked);
+         ("churn_epochs", Json.Int churn);
+         ("kernel_digests_identical", Json.Bool digests_identical);
+         ("rows_identical", Json.Bool outputs_identical);
+         ("tracking_error_mbps", errors (Dsoak.tracking_errors inc));
+         ("staleness_error_mbps", errors (Dsoak.staleness_errors inc));
+         ( "profile",
+           Json.Obj
+             [
+               ("n_nodes", Json.Int profile_n);
+               ("churn_epochs", Json.Int (List.length churn_moved));
+               ("digests_identical", Json.Bool profile_identical);
+               ("rebuild_phy_evals", Json.Int rebuild_evals);
+               ("incremental_phy_evals", Json.Int patch_evals);
+             ] );
+       ]);
   Printf.printf "wrote %s\n" out;
   failures
     [
@@ -629,28 +643,29 @@ let whatif_bench ~seed ~quick ~out =
   let in_range_exact = Whatif.all_in_range_exact rows in
   Printf.printf "  pivots: predict %d vs resolve %d; in-range wire-exact %b\n%!" predict_pivots
     resolve_pivots in_range_exact;
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"quick\": %b,\n\
-    \  \"seed\": %Ld,\n\
-    \  \"n_nodes\": 30,\n\
-    \  \"in_range_wire_exact\": %b,\n\
-    \  \"predict_pivots\": %d,\n\
-    \  \"resolve_pivots\": %d,\n\
-    \  \"rows\": [\n"
-    quick seed in_range_exact predict_pivots resolve_pivots;
-  List.iteri
-    (fun i (r : Whatif.row) ->
-      Printf.fprintf oc
-        "    {\"factor\": %.3f, \"queries\": %d, \"in_range\": %d, \"repivoted\": %d, \
-         \"wire_exact\": %d, \"in_range_wire_exact\": %d, \"max_err_mbps\": %.6f}%s\n"
-        r.Whatif.factor r.Whatif.n_queries r.Whatif.in_range r.Whatif.repivoted
-        r.Whatif.wire_exact r.Whatif.in_range_wire_exact r.Whatif.max_err_mbps
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let row (r : Whatif.row) =
+    Json.Obj
+      [
+        ("factor", Json.Fixed (3, r.Whatif.factor));
+        ("queries", Json.Int r.Whatif.n_queries);
+        ("in_range", Json.Int r.Whatif.in_range);
+        ("repivoted", Json.Int r.Whatif.repivoted);
+        ("wire_exact", Json.Int r.Whatif.wire_exact);
+        ("in_range_wire_exact", Json.Int r.Whatif.in_range_wire_exact);
+        ("max_err_mbps", Json.Fixed (6, r.Whatif.max_err_mbps));
+      ]
+  in
+  Json.write_file out
+    (Json.Obj
+       [
+         ("quick", Json.Bool quick);
+         ("seed", Json.Int64 seed);
+         ("n_nodes", Json.Int 30);
+         ("in_range_wire_exact", Json.Bool in_range_exact);
+         ("predict_pivots", Json.Int predict_pivots);
+         ("resolve_pivots", Json.Int resolve_pivots);
+         ("rows", Json.List (List.map row rows));
+       ]);
   Printf.printf "wrote %s\n" out;
   failures
     [

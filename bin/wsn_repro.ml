@@ -67,7 +67,7 @@ let with_telemetry mode run =
       Format.printf "%a@." Export.pp_summary (Registry.snapshot ())
     | Some file -> (
       try
-        Export.write_file file (Registry.snapshot ());
+        Wsn_telemetry.Json.write_file file (Export.to_json (Registry.snapshot ()));
         Printf.printf "wrote telemetry snapshot to %s\n" file
       with Sys_error msg -> snapshot_error := Some msg)
   in

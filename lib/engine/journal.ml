@@ -1,3 +1,5 @@
+module Json = Wsn_telemetry.Json
+
 type status = Ok_done | Failed | Timed_out
 
 type entry = {
@@ -18,27 +20,30 @@ let status_of_string = function
   | _ -> None
 
 let append oc e =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"hash\":";
-  Jsonl.escape buf e.hash;
-  Buffer.add_string buf ",\"spec\":";
-  Jsonl.escape buf e.spec;
-  Printf.bprintf buf ",\"status\":\"%s\",\"attempts\":%d,\"cached\":%b" (status_to_string e.status)
-    e.attempts e.cached;
-  if e.error <> "" then begin
-    Buffer.add_string buf ",\"error\":";
-    Jsonl.escape buf e.error
-  end;
-  Buffer.add_string buf "}\n";
-  Out_channel.output_string oc (Buffer.contents buf);
+  let json =
+    Json.Obj
+      ([
+         ("hash", Json.Str e.hash);
+         ("spec", Json.Str e.spec);
+         ("status", Json.Str (status_to_string e.status));
+         ("attempts", Json.Int e.attempts);
+         ("cached", Json.Bool e.cached);
+       ]
+      @ if e.error = "" then [] else [ ("error", Json.Str e.error) ])
+  in
+  Out_channel.output_string oc (Json.to_string json ^ "\n");
   Out_channel.flush oc
 
+(* A line that is not one complete JSON object with every required
+   field (a torn tail from a crash, a foreign line) is dropped. *)
 let parse_line line =
+  Option.bind (Result.to_option (Json.parse line)) @@ fun json ->
+  let field key read = Option.bind (Json.member key json) read in
   match
-    ( Jsonl.str_field line "hash",
-      Jsonl.str_field line "spec",
-      Option.bind (Jsonl.str_field line "status") status_of_string,
-      Jsonl.int_field line "attempts" )
+    ( field "hash" Json.to_str,
+      field "spec" Json.to_str,
+      Option.bind (field "status" Json.to_str) status_of_string,
+      field "attempts" Json.to_int )
   with
   | Some hash, Some spec, Some status, Some attempts ->
     Some
@@ -47,8 +52,8 @@ let parse_line line =
         spec;
         status;
         attempts;
-        cached = Option.value ~default:false (Jsonl.bool_field line "cached");
-        error = Option.value ~default:"" (Jsonl.str_field line "error");
+        cached = Json.member "cached" json = Some (Json.Bool true);
+        error = Option.value ~default:"" (field "error" Json.to_str);
       }
   | _ -> None
 

@@ -1,4 +1,5 @@
 module Registry = Wsn_telemetry.Registry
+module Json = Wsn_telemetry.Json
 
 type config = {
   workers : int;
@@ -37,25 +38,25 @@ type summary = {
 
 let g_hit_rate = Registry.gauge "engine.cache_hit_rate"
 
+(* No attempt counts or timings here — those live in the journal.  The
+   results file is a pure function of the grid and the code, so cold,
+   warm and any [-j N] run of the same grid are byte-identical. *)
 let result_line (r : Pool.result) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"hash\":";
-  Jsonl.escape buf (Spec.hash r.Pool.spec);
-  Buffer.add_string buf ",\"spec\":";
-  Jsonl.escape buf (Spec.canonical r.Pool.spec);
-  (* No attempt counts or timings here — those live in the journal.
-     The results file is a pure function of the grid and the code, so
-     cold, warm and any [-j N] run of the same grid are byte-identical. *)
-  (match r.Pool.outcome with
-   | Pool.Done payload ->
-     Buffer.add_string buf ",\"status\":\"ok\",\"payload\":";
-     Jsonl.escape buf payload
-   | Pool.Failed f ->
-     Printf.bprintf buf ",\"status\":\"%s\",\"error\":"
-       (match f with Pool.Timeout -> "timeout" | Pool.Exn _ | Pool.Signalled _ -> "failed");
-     Jsonl.escape buf (Pool.failure_to_string f));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let outcome =
+    match r.Pool.outcome with
+    | Pool.Done payload -> [ ("status", Json.Str "ok"); ("payload", Json.Str payload) ]
+    | Pool.Failed f ->
+      let status =
+        match f with Pool.Timeout -> "timeout" | Pool.Exn _ | Pool.Signalled _ -> "failed"
+      in
+      [ ("status", Json.Str status); ("error", Json.Str (Pool.failure_to_string f)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       (("hash", Json.Str (Spec.hash r.Pool.spec))
+       :: ("spec", Json.Str (Spec.canonical r.Pool.spec))
+       :: outcome))
+  ^ "\n"
 
 let run cfg ~runner specs =
   Wsn_telemetry.Span.with_span "engine.sweep" @@ fun () ->

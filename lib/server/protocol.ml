@@ -138,122 +138,85 @@ let mbps x =
   let r = Float.round (Float.round (x *. 1e6) /. 1e3) /. 1e3 in
   if r = 0.0 then 0.0 (* never [-0.] — "-0.000" on one side only would break identity *) else r
 
-let add_mbps buf key x = Printf.bprintf buf ",\"%s\":%.3f" key (mbps x)
+(* Bandwidth figures print through [mbps] at 3 decimals. *)
+let mbps_field key x = (key, Json.Fixed (3, mbps x))
 
-let add_path buf = function
-  | None -> Buffer.add_string buf ",\"path\":null"
-  | Some links ->
-    Buffer.add_string buf ",\"path\":[";
-    List.iteri
-      (fun i l ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int l))
-      links;
-    Buffer.add_char buf ']'
+let path_field = function
+  | None -> ("path", Json.Null)
+  | Some links -> ("path", Json.List (List.map (fun l -> Json.Int l) links))
 
-let start ~id ~ok op =
-  let buf = Buffer.create 96 in
-  Printf.bprintf buf "{\"id\":%d,\"ok\":%b,\"op\":\"%s\"" id ok op;
-  buf
-
-let closed buf =
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let response ~id op fields =
+  Json.to_string
+    (Json.Obj (("id", Json.Int id) :: ("ok", Json.Bool true) :: ("op", Json.Str op) :: fields))
 
 let admit_response ~id ~admitted ~flow ~path ~available_mbps =
-  let buf = start ~id ~ok:true "admit" in
-  Printf.bprintf buf ",\"admitted\":%b" admitted;
-  (match flow with Some f -> Printf.bprintf buf ",\"flow\":%d" f | None -> ());
-  add_path buf path;
-  add_mbps buf "available_mbps" available_mbps;
-  closed buf
+  response ~id "admit"
+    ((("admitted", Json.Bool admitted)
+     :: (match flow with Some f -> [ ("flow", Json.Int f) ] | None -> []))
+    @ [ path_field path; mbps_field "available_mbps" available_mbps ])
 
 let query_response ~id ~path ~available_mbps ~admissible =
-  let buf = start ~id ~ok:true "query" in
-  add_path buf path;
-  add_mbps buf "available_mbps" available_mbps;
-  (match admissible with
-   | Some b -> Printf.bprintf buf ",\"admissible\":%b" b
-   | None -> ());
-  closed buf
+  response ~id "query"
+    ([ path_field path; mbps_field "available_mbps" available_mbps ]
+    @ match admissible with Some b -> [ ("admissible", Json.Bool b) ] | None -> [])
 
 let whatif_response ~id ~path ~base_mbps ~results =
-  let buf = start ~id ~ok:true "whatif" in
-  add_path buf path;
-  add_mbps buf "base_mbps" base_mbps;
-  Buffer.add_string buf ",\"results\":[";
-  List.iteri
-    (fun i (flow, factor, available_mbps, feasible) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"flow\":%d,\"factor\":%.3f" flow factor;
-      add_mbps buf "available_mbps" available_mbps;
-      (* The delta is computed between the two {e quantised} figures, so
-         it is itself bit-stable and consistent with the other fields. *)
-      add_mbps buf "delta_mbps" (mbps available_mbps -. mbps base_mbps);
-      Printf.bprintf buf ",\"feasible\":%b}" feasible)
-    results;
-  Buffer.add_char buf ']';
-  closed buf
+  let result (flow, factor, available_mbps, feasible) =
+    Json.Obj
+      [
+        ("flow", Json.Int flow);
+        ("factor", Json.Fixed (3, factor));
+        mbps_field "available_mbps" available_mbps;
+        (* The delta is computed between the two {e quantised} figures,
+           so it is itself bit-stable and consistent with the other
+           fields. *)
+        mbps_field "delta_mbps" (mbps available_mbps -. mbps base_mbps);
+        ("feasible", Json.Bool feasible);
+      ]
+  in
+  response ~id "whatif"
+    [
+      path_field path;
+      mbps_field "base_mbps" base_mbps;
+      ("results", Json.List (List.map result results));
+    ]
 
 let prices_response ~id ~path ~available_mbps ~sigma_mbps ~links ~throttle =
-  let buf = start ~id ~ok:true "prices" in
-  add_path buf path;
-  add_mbps buf "available_mbps" available_mbps;
-  add_mbps buf "sigma_mbps" sigma_mbps;
-  Buffer.add_string buf ",\"link_prices\":[";
-  List.iteri
-    (fun i (link, price) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"link\":%d" link;
-      add_mbps buf "price" price;
-      Buffer.add_char buf '}')
-    links;
-  Buffer.add_string buf "],\"throttle\":[";
-  List.iteri
-    (fun i (flow, gain) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"flow\":%d" flow;
-      add_mbps buf "gain_mbps" gain;
-      Buffer.add_char buf '}')
-    throttle;
-  Buffer.add_char buf ']';
-  closed buf
+  let entry key value_key (k, v) = Json.Obj [ (key, Json.Int k); mbps_field value_key v ] in
+  response ~id "prices"
+    [
+      path_field path;
+      mbps_field "available_mbps" available_mbps;
+      mbps_field "sigma_mbps" sigma_mbps;
+      ("link_prices", Json.List (List.map (entry "link" "price") links));
+      ("throttle", Json.List (List.map (entry "flow" "gain_mbps") throttle));
+    ]
 
 let release_response ~id ~flow ~remaining =
-  let buf = start ~id ~ok:true "release" in
-  Printf.bprintf buf ",\"flow\":%d,\"remaining\":%d" flow remaining;
-  closed buf
+  response ~id "release" [ ("flow", Json.Int flow); ("remaining", Json.Int remaining) ]
 
 let snapshot_response ~id ~flows =
-  let buf = start ~id ~ok:true "snapshot" in
-  Buffer.add_string buf ",\"flows\":[";
-  List.iteri
-    (fun i (flow, path, demand) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"flow\":%d" flow;
-      add_path buf (Some path);
-      add_mbps buf "demand_mbps" demand;
-      Buffer.add_char buf '}')
-    flows;
-  Buffer.add_char buf ']';
-  add_mbps buf "total_demand_mbps" (List.fold_left (fun acc (_, _, d) -> acc +. d) 0.0 flows);
-  closed buf
+  let flow (id, path, demand) =
+    Json.Obj [ ("flow", Json.Int id); path_field (Some path); mbps_field "demand_mbps" demand ]
+  in
+  response ~id "snapshot"
+    [
+      ("flows", Json.List (List.map flow flows));
+      mbps_field "total_demand_mbps" (List.fold_left (fun acc (_, _, d) -> acc +. d) 0.0 flows);
+    ]
 
 let stats_response ~id ~counts ~latency_ms =
-  let buf = start ~id ~ok:true "stats" in
-  List.iter (fun (key, v) -> Printf.bprintf buf ",\"%s\":%d" key v) counts;
-  (match latency_ms with
-   | Some (p50, p99) -> Printf.bprintf buf ",\"p50_ms\":%.3f,\"p99_ms\":%.3f" p50 p99
-   | None -> ());
-  closed buf
+  response ~id "stats"
+    (List.map (fun (key, v) -> (key, Json.Int v)) counts
+    @
+    match latency_ms with
+    | Some (p50, p99) -> [ ("p50_ms", Json.Fixed (3, p50)); ("p99_ms", Json.Fixed (3, p99)) ]
+    | None -> [])
 
-let ping_response ~id = closed (start ~id ~ok:true "pong")
+let ping_response ~id = response ~id "pong" []
 
-let shutdown_response ~id = closed (start ~id ~ok:true "shutdown")
+let shutdown_response ~id = response ~id "shutdown" []
 
 let error_response ~id reason =
-  let buf = Buffer.create 64 in
-  Printf.bprintf buf "{\"id\":%d,\"ok\":false,\"error\":\"" id;
-  Json.escape_into buf reason;
-  Buffer.add_string buf "\"}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj [ ("id", Json.Int id); ("ok", Json.Bool false); ("error", Json.Str reason) ])

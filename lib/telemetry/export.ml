@@ -1,85 +1,26 @@
-(* JSON encoding, hand-rolled: the snapshot shape is fixed, so a
-   Buffer and four helpers beat a dependency. *)
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* JSON has no NaN/Infinity literals; encode them as null. *)
-let add_float buf v =
-  if Float.is_nan v || v = infinity || v = neg_infinity then Buffer.add_string buf "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" v)
-  else Buffer.add_string buf (Printf.sprintf "%.9g" v)
-
-let add_assoc buf ~indent add_value entries =
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf indent;
-      escape buf name;
-      Buffer.add_string buf ": ";
-      add_value buf v)
-    entries;
-  if entries <> [] then begin
-    Buffer.add_string buf "\n";
-    Buffer.add_string buf (String.sub indent 0 (String.length indent - 2))
-  end;
-  Buffer.add_string buf "}"
-
-let add_dist buf (d : Registry.dist_stat) =
-  Buffer.add_string buf "{\"count\": ";
-  Buffer.add_string buf (string_of_int d.Registry.count);
-  List.iter
-    (fun (key, v) ->
-      Buffer.add_string buf ", ";
-      Buffer.add_string buf key;
-      Buffer.add_string buf ": ";
-      add_float buf v)
+(* Counters print as integers; gauges and distribution statistics at
+   nine significant digits. *)
+let dist (d : Registry.dist_stat) =
+  Json.Obj
     [
-      ("\"sum\"", d.Registry.sum);
-      ("\"min\"", d.Registry.min_v);
-      ("\"max\"", d.Registry.max_v);
-      ("\"p50\"", d.Registry.p50);
-      ("\"p90\"", d.Registry.p90);
-      ("\"p99\"", d.Registry.p99);
-    ];
-  Buffer.add_string buf "}"
+      ("count", Json.Int d.Registry.count);
+      ("sum", Json.Sig9 d.Registry.sum);
+      ("min", Json.Sig9 d.Registry.min_v);
+      ("max", Json.Sig9 d.Registry.max_v);
+      ("p50", Json.Sig9 d.Registry.p50);
+      ("p90", Json.Sig9 d.Registry.p90);
+      ("p99", Json.Sig9 d.Registry.p99);
+    ]
 
 let to_json (s : Registry.snapshot) =
-  let buf = Buffer.create 1024 in
-  let section name add_value entries ~last =
-    Buffer.add_string buf "  ";
-    escape buf name;
-    Buffer.add_string buf ": ";
-    add_assoc buf ~indent:"    " add_value entries;
-    Buffer.add_string buf (if last then "\n" else ",\n")
-  in
-  Buffer.add_string buf "{\n";
-  section "counters" (fun b v -> Buffer.add_string b (string_of_int v)) s.Registry.counters
-    ~last:false;
-  section "gauges" add_float s.Registry.gauges ~last:false;
-  section "histograms" add_dist s.Registry.histograms ~last:false;
-  section "spans" add_dist s.Registry.spans ~last:true;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let write_file path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json s))
+  let section value entries = Json.Obj (List.map (fun (name, v) -> (name, value v)) entries) in
+  Json.Obj
+    [
+      ("counters", section (fun v -> Json.Int v) s.Registry.counters);
+      ("gauges", section (fun v -> Json.Sig9 v) s.Registry.gauges);
+      ("histograms", section dist s.Registry.histograms);
+      ("spans", section dist s.Registry.spans);
+    ]
 
 (* --- summary table -------------------------------------------------- *)
 

@@ -1,11 +1,9 @@
-(** Snapshot serialisation: hand-rolled JSON (no dependencies) and a
+(** Snapshot serialisation: a JSON tree for {!Json} to print, and a
     human-readable summary table. *)
 
-(** Strict JSON: object keys escaped per RFC 8259, non-finite floats
-    encoded as [null]. *)
-val to_json : Registry.snapshot -> string
-
-val write_file : string -> Registry.snapshot -> unit
+(** Four objects, [counters], [gauges], [histograms] and [spans], each
+    keyed by metric name.  Non-finite statistics print as [null]. *)
+val to_json : Registry.snapshot -> Json.t
 
 (** Aligned four-section table (counters / gauges / latency spans /
     histograms); prints nothing but a header when the snapshot is

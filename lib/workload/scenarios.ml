@@ -145,6 +145,8 @@ module Scale_scenario = struct
 end
 
 module Admission_trace = struct
+  module Json = Wsn_telemetry.Json
+
   type op =
     | Admit of { source : int; target : int; demand_mbps : float }
     | Release_nth of int
@@ -207,15 +209,19 @@ module Admission_trace = struct
     done;
     List.rev !ops
 
-  let request_line = function
-    | Admit { source; target; demand_mbps } ->
-      Printf.sprintf {|{"op":"admit","source":%d,"target":%d,"demand_mbps":%.3f}|} source target
-        demand_mbps
-    | Release_nth k -> Printf.sprintf {|{"op":"release","nth":%d}|} k
-    | Query { source; target; demand_mbps = None } ->
-      Printf.sprintf {|{"op":"query","source":%d,"target":%d}|} source target
-    | Query { source; target; demand_mbps = Some d } ->
-      Printf.sprintf {|{"op":"query","source":%d,"target":%d,"demand_mbps":%.3f}|} source target d
+  (* Demands cross the wire at the protocol's 3 decimals. *)
+  let request_line op =
+    let endpoints source target = [ ("source", Json.Int source); ("target", Json.Int target) ] in
+    let demand d = [ ("demand_mbps", Json.Fixed (3, d)) ] in
+    Json.to_string
+      (Json.Obj
+         (match op with
+          | Admit { source; target; demand_mbps } ->
+            (("op", Json.Str "admit") :: endpoints source target) @ demand demand_mbps
+          | Release_nth k -> [ ("op", Json.Str "release"); ("nth", Json.Int k) ]
+          | Query { source; target; demand_mbps } ->
+            (("op", Json.Str "query") :: endpoints source target)
+            @ Option.fold ~none:[] ~some:demand demand_mbps))
 
   let to_request_lines t = List.map request_line t
 end

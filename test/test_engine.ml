@@ -88,8 +88,12 @@ let test_journal_roundtrip () =
     ]
   in
   Out_channel.with_open_bin path (fun oc -> List.iter (Journal.append oc) entries);
-  (* A torn final line (crash mid-append) must not break loading. *)
+  (* Torn lines (crash mid-append) must not break loading, nor load as
+     records: the first tear holds every required field but lost
+     "attempts":12 and the error to the cut. *)
   Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      Out_channel.output_string oc
+        "{\"hash\":\"def\",\"spec\":\"kind=fail seed=2\",\"status\":\"failed\",\"attempts\":1\n";
       Out_channel.output_string oc "{\"hash\":\"to");
   let loaded = Journal.load path in
   check Alcotest.int "all intact lines load" 3 (List.length loaded);

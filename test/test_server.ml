@@ -43,11 +43,14 @@ let json_roundtrip () =
     (fun s ->
       match Json.parse s with
       | Error msg -> Alcotest.failf "parse %s: %s" s msg
-      | Ok v -> (
-        (* Round-trip through the printer re-parses to the same value. *)
-        match Json.parse (Json.to_string v) with
-        | Ok v' -> check Alcotest.bool ("round-trip " ^ s) true (v = v')
-        | Error msg -> Alcotest.failf "re-parse %s: %s" (Json.to_string v) msg))
+      | Ok v ->
+        (* Round-trip through either layout re-parses to the same value. *)
+        List.iter
+          (fun print ->
+            match Json.parse (print v) with
+            | Ok v' -> check Alcotest.bool ("round-trip " ^ s) true (v = v')
+            | Error msg -> Alcotest.failf "re-parse %s: %s" (print v) msg)
+          [ Json.to_string; Json.to_string_pretty ])
     cases;
   check Alcotest.bool "surrogate pair" true
     (Json.parse {|"😀"|} = Ok (Json.Str "\xf0\x9f\x98\x80"));
@@ -57,6 +60,72 @@ let json_roundtrip () =
       | Ok _ -> Alcotest.failf "accepted malformed %s" bad
       | Error _ -> ())
     [ "{"; "[1,]"; {|{"a":}|}; "tru"; "1.2.3"; {|{"a":1} x|}; {|"unterminated|} ]
+
+let json_layouts () =
+  let v =
+    Json.Obj
+      [
+        ("a", Json.Int 1);
+        ("b", Json.Obj [ ("c", Json.List [ Json.Int 1; Json.Int 2 ]); ("d", Json.Obj []) ]);
+        ("e", Json.List []);
+        ("f", Json.List [ Json.Obj [ ("g", Json.Bool true) ] ]);
+      ]
+  in
+  check Alcotest.string "single line" {|{"a":1,"b":{"c":[1,2],"d":{}},"e":[],"f":[{"g":true}]}|}
+    (Json.to_string v);
+  check Alcotest.string "multi-line"
+    "{\n\
+    \  \"a\": 1,\n\
+    \  \"b\": {\n\
+    \    \"c\": [1, 2],\n\
+    \    \"d\": {}\n\
+    \  },\n\
+    \  \"e\": [],\n\
+    \  \"f\": [\n\
+    \    {\"g\": true}\n\
+    \  ]\n\
+     }"
+    (Json.to_string_pretty v);
+  check Alcotest.string "empty top level" "{}" (Json.to_string_pretty (Json.Obj []))
+
+let json_number_forms () =
+  let prints expected v = check Alcotest.string expected expected (Json.to_string v) in
+  (* A 64-bit seed past 2^53 prints exactly, not rounded through a float. *)
+  prints "9007199254740993" (Json.Int64 9007199254740993L);
+  prints "-42" (Json.Int (-42));
+  prints "3" (Json.Num 3.0);
+  prints "0.10000000000000001" (Json.Num 0.1);
+  prints "2" (Json.Sig9 2.0);
+  prints "8.37330317" (Json.Sig9 (3701.0 /. 442.0));
+  prints "24.708" (Json.Fixed (3, 24.7081));
+  prints "0.576931" (Json.Fixed (6, 0.5769312));
+  (* JSON has no NaN or Infinity: every float form prints null. *)
+  List.iter
+    (fun f ->
+      List.iter (prints "null") [ Json.Num f; Json.Sig9 f; Json.Fixed (3, f); Json.Fixed (6, f) ])
+    [ nan; infinity; neg_infinity ];
+  (* A value that rounds to zero prints unsigned. *)
+  prints "0.000" (Json.Fixed (3, -0.0));
+  prints "0.000" (Json.Fixed (3, -0.0004));
+  prints "-0.001" (Json.Fixed (3, -0.0006));
+  prints "0.000000" (Json.Fixed (6, -1e-9));
+  let wire =
+    [
+      Protocol.whatif_response ~id:1 ~path:(Some [ 3 ]) ~base_mbps:1e-5
+        ~results:[ (0, -0.0, -1e-5, true); (1, -0.0004, 0.0, false) ];
+      Protocol.stats_response ~id:2 ~counts:[] ~latency_ms:(Some (-0.0001, -0.0));
+      Protocol.query_response ~id:3 ~path:None ~available_mbps:(-1e-7) ~admissible:None;
+    ]
+  in
+  let has_neg_zero line =
+    let rec at i =
+      i + 6 <= String.length line && (String.sub line i 6 = "-0.000" || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun line -> check Alcotest.bool ("no -0.000 in " ^ line) false (has_neg_zero line))
+    wire
 
 let json_accessors () =
   let v = Result.get_ok (Json.parse {|{"n":4,"f":2.5,"s":"hi","l":[1,2]}|}) in
@@ -443,13 +512,16 @@ let whatif_batched_equals_sequential () =
     incr seq;
     fst (Session.handle_line s ~seq:!seq line)
   in
+  let request fields = send (Json.to_string (Json.Obj fields)) in
+  let endpoints src tgt = [ ("source", Json.Int src); ("target", Json.Int tgt) ] in
+  let whatif fields = request ((("op", Json.Str "whatif") :: endpoints 0 1) @ fields) in
+  let query (f, x) = [ ("flow", Json.Int f); ("factor", Json.Num x) ] in
   let admitted =
     List.filter_map
       (fun (src, tgt) ->
         let r =
-          send
-            (Printf.sprintf {|{"op":"admit","source":%d,"target":%d,"demand_mbps":0.25}|} src
-               tgt)
+          request
+            ((("op", Json.Str "admit") :: endpoints src tgt) @ [ ("demand_mbps", Json.Num 0.25) ])
         in
         match Json.parse r with
         | Ok v when Json.member "admitted" v = Some (Json.Bool true) ->
@@ -459,32 +531,17 @@ let whatif_batched_equals_sequential () =
   in
   check Alcotest.bool "enough background admitted" true (List.length admitted >= 2);
   let queries = List.concat_map (fun fid -> [ (fid, 0.5); (fid, 1.0); (fid, 2.0) ]) admitted in
-  let query_json (f, x) = Printf.sprintf {|{"flow":%d,"factor":%g}|} f x in
   let batched =
-    send
-      (Printf.sprintf {|{"op":"whatif","source":0,"target":1,"queries":[%s]}|}
-         (String.concat "," (List.map query_json queries)))
+    whatif [ ("queries", Json.List (List.map (fun q -> Json.Obj (query q)) queries)) ]
   in
-  let sequential =
-    List.concat_map
-      (fun (f, x) ->
-        results_of
-          (send
-             (Printf.sprintf {|{"op":"whatif","source":0,"target":1,"flow":%d,"factor":%g}|} f
-                x)))
-      queries
-  in
+  let sequential = List.concat_map (fun q -> results_of (whatif (query q))) queries in
   check (Alcotest.list Alcotest.string) "batched results = sequential results" sequential
     (results_of batched);
   (* Factor 1 is the identity scaling: predicted availability must be
      the base figure, and exact mode must agree with the prediction. *)
   let f0 = List.hd admitted in
   let at_factor_1 exact =
-    let line =
-      send
-        (Printf.sprintf {|{"op":"whatif","source":0,"target":1,"flow":%d,"factor":1%s}|} f0
-           (if exact then {|,"exact":true|} else ""))
-    in
+    let line = whatif (query (f0, 1.0) @ if exact then [ ("exact", Json.Bool true) ] else []) in
     let v = Result.get_ok (Json.parse line) in
     let base = Option.bind (Json.member "base_mbps" v) Json.to_float in
     let avail =
@@ -535,6 +592,8 @@ let suite =
   [
     Alcotest.test_case "json round-trips" `Quick json_roundtrip;
     Alcotest.test_case "json accessors" `Quick json_accessors;
+    Alcotest.test_case "json layouts" `Quick json_layouts;
+    Alcotest.test_case "json number forms" `Quick json_number_forms;
     Alcotest.test_case "protocol parsing" `Quick protocol_parse;
     Alcotest.test_case "wire quantisation" `Quick protocol_quantisation;
     Alcotest.test_case "session lifecycle" `Quick session_lifecycle;

@@ -1,12 +1,13 @@
 (* Tests for Wsn_telemetry: registry semantics, histogram quantiles on
-   known data, span nesting, JSON snapshot round-trip through a
-   hand-rolled parser, and an end-to-end check that solving the paper's
+   known data, span nesting, JSON snapshot round-trip through the
+   codec's parser, and an end-to-end check that solving the paper's
    Scenario II chain leaves solver counters behind. *)
 
 module Registry = Wsn_telemetry.Registry
 module Histogram = Wsn_telemetry.Histogram
 module Span = Wsn_telemetry.Span
 module Export = Wsn_telemetry.Export
+module Json = Wsn_telemetry.Json
 
 let check = Alcotest.check
 
@@ -21,143 +22,16 @@ let with_registry f =
       Registry.reset ())
     f
 
-(* --- minimal JSON parser (validation + counter extraction) ---------- *)
+(* The snapshot as written to disk, parsed back by the codec. *)
+let parse_snapshot snap =
+  match Json.parse (Json.to_string_pretty (Export.to_json snap)) with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "snapshot JSON does not parse: %s" msg
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "JSON parse error at offset %d: %s" !pos msg in
-  let peek () = if !pos < n then s.[!pos] else fail "unexpected end" in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %c" c) in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'u' ->
-           (* accept and skip the four hex digits *)
-           for _ = 1 to 4 do
-             advance ();
-             match peek () with
-             | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-             | _ -> fail "bad \\u escape"
-           done
-         | c -> Buffer.add_char buf c);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < n && numchar s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elements (v :: acc)
-          | ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> Alcotest.failf "missing JSON member %S" name)
-  | _ -> Alcotest.failf "expected object holding %S" name
+let member name v =
+  match Json.member name v with
+  | Some m -> m
+  | None -> Alcotest.failf "missing JSON member %S" name
 
 (* --- registry ------------------------------------------------------- *)
 
@@ -334,31 +208,28 @@ let json_roundtrip () =
       Registry.observe h 10.0;
       Registry.observe h 1000.0;
       ignore (Span.with_span "a.span" (fun () -> ()));
-      let snap = Registry.snapshot () in
-      let json = Export.to_json snap in
-      let parsed = parse_json json in
+      let parsed = parse_snapshot (Registry.snapshot ()) in
       (match member "a.count" (member "counters" parsed) with
-       | Num v -> check (Alcotest.float 0.0) "counter value" 7.0 v
+       | Json.Num v -> check (Alcotest.float 0.0) "counter value" 7.0 v
        | _ -> Alcotest.fail "counter not a number");
       (match member "a.nan_gauge" (member "gauges" parsed) with
-       | Null -> ()
+       | Json.Null -> ()
        | _ -> Alcotest.fail "nan must encode as null");
       let hist = member "a.hist \"quoted\\name\"" (member "histograms" parsed) in
       (match (member "count" hist, member "min" hist, member "max" hist) with
-       | Num c, Num lo, Num hi ->
+       | Json.Num c, Json.Num lo, Json.Num hi ->
          check (Alcotest.float 0.0) "hist count" 2.0 c;
          check (Alcotest.float 1e-9) "hist min" 10.0 lo;
          check (Alcotest.float 1e-9) "hist max" 1000.0 hi
        | _ -> Alcotest.fail "hist stats not numbers");
       match member "a.span" (member "spans" parsed) with
-      | Obj _ -> ()
+      | Json.Obj _ -> ()
       | _ -> Alcotest.fail "span stats missing")
 
 let json_empty_snapshot () =
   Registry.reset ();
-  let json = Export.to_json (Registry.snapshot ()) in
-  match parse_json json with
-  | Obj fields ->
+  match parse_snapshot (Registry.snapshot ()) with
+  | Json.Obj fields ->
     check
       (Alcotest.list Alcotest.string)
       "sections present"
