@@ -1,6 +1,6 @@
 # Convenience targets; CI runs `make check`.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-whatif whatif-smoke clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-whatif whatif-smoke loc clean
 
 all:
 	dune build
@@ -172,6 +172,19 @@ whatif-smoke:
 perfcheck: check
 	mkdir -p $(CHECK_OUT)
 	dune exec bench/main.exe -- perf --quick --out $(CHECK_OUT)/BENCH_perf_quick.json --check-perf bench/perf_baseline.txt
+
+# Line counts of the tracked .ml and .mli files per directory (git
+# ls-files, so nothing under _build/ counts), plus lib + bench + bin
+# and the grand total.  A new file counts once it is `git add`ed.
+LOC_DIRS = lib bench bin test
+loc:
+	@for d in $(LOC_DIRS); do \
+	  ml=$$(git ls-files -z -- ":(glob)$$d/**/*.ml" | xargs -0r cat | wc -l); \
+	  mli=$$(git ls-files -z -- ":(glob)$$d/**/*.mli" | xargs -0r cat | wc -l); \
+	  echo "$$d $$ml $$mli"; \
+	done | awk '{ printf "%-14s %6d .ml %6d .mli %6d\n", $$1, $$2, $$3, $$2 + $$3; \
+	  all += $$2 + $$3; if ($$1 != "test") shipped += $$2 + $$3 } \
+	  END { printf "%-14s %30d\n%-14s %30d\n", "lib+bench+bin", shipped, "all", all }'
 
 # Everything compiles, including examples and benches.
 smoke:

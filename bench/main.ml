@@ -144,7 +144,7 @@ let add_admission_run buf (run : Admission.run) =
 let perf_pipeline ~seed ~n_flows ~metrics ~kernel () =
   let scenario = RS.generate ~n_flows ~seed () in
   let topo = scenario.RS.topology in
-  let model = if kernel then Model.physical topo else Model.physical_naive topo in
+  let model = if kernel then Model.physical topo else Wsn_oracles.Physical_naive.model topo in
   let buf = Buffer.create (1 lsl 16) in
   let last_run =
     List.fold_left

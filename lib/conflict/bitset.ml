@@ -8,8 +8,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { n; w = Array.make (max 1 ((n + bits - 1) / bits)) 0 }
 
-let capacity t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset: element out of range"
 
@@ -29,13 +27,9 @@ let clear t = Array.fill t.w 0 (Array.length t.w) 0
 
 let copy t = { t with w = Array.copy t.w }
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.w
-
 let popcount_word w =
   let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
   go 0 w
-
-let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.w
 
 let same_universe a b =
   if a.n <> b.n then invalid_arg "Bitset: capacity mismatch"

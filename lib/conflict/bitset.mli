@@ -11,8 +11,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set over universe [0 .. n-1]. *)
 
-val capacity : t -> int
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -22,11 +20,6 @@ val remove : t -> int -> unit
 val clear : t -> unit
 
 val copy : t -> t
-
-val is_empty : t -> bool
-
-val popcount : t -> int
-(** Number of members. *)
 
 val inter_empty : t -> t -> bool
 (** Whether the two sets are disjoint.  O(words). *)

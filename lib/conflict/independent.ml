@@ -28,8 +28,6 @@ let live_links model universe =
 
 exception Enum_memo of (string, int * int list list) Hashtbl.t
 
-exception Maximal_memo of (string, int * int list list) Hashtbl.t
-
 exception Columns_memo of (string, int * column list) Hashtbl.t
 
 let univ_key universe = String.concat "," (List.map string_of_int universe)
@@ -40,14 +38,6 @@ let enum_memo k =
   | _ ->
     let h = Hashtbl.create 16 in
     Hashtbl.replace (Kernel.scratch k) "independent.sets" (Enum_memo h);
-    h
-
-let maximal_memo k =
-  match Hashtbl.find_opt (Kernel.scratch k) "independent.maximal" with
-  | Some (Maximal_memo h) -> h
-  | _ ->
-    let h = Hashtbl.create 16 in
-    Hashtbl.replace (Kernel.scratch k) "independent.maximal" (Maximal_memo h);
     h
 
 let columns_memo k =
@@ -173,45 +163,6 @@ let enumerate_sets ?(max_sets = default_max_sets) model ~universe =
        let sets = enumerate_fresh ~max_sets model ~universe in
        Hashtbl.replace memo key (List.length sets, sets);
        sets)
-
-(* A set is inclusion-maximal iff no one-link extension is independent;
-   by anti-monotonicity every independent one-link extension is itself
-   in the enumeration, so membership hashing replaces the old
-   O(sets² · n) pairwise subset filter. *)
-let maximal_fresh ?max_sets model ~universe =
-  let sets = enumerate_sets ?max_sets model ~universe in
-  let live = live_links model universe in
-  let key links = String.concat "," (List.map string_of_int links) in
-  let enumerated = Hashtbl.create (2 * List.length sets) in
-  List.iter (fun s -> Hashtbl.replace enumerated (key s) ()) sets;
-  let rec insert l = function
-    | [] -> [ l ]
-    | x :: _ as rest when l < x -> l :: rest
-    | x :: rest -> x :: insert l rest
-  in
-  let maximal =
-    List.filter
-      (fun s ->
-        not
-          (List.exists
-             (fun l -> (not (List.mem l s)) && Hashtbl.mem enumerated (key (insert l s)))
-             live))
-      sets
-  in
-  (List.length sets, maximal)
-
-let maximal_sets ?max_sets model ~universe =
-  match Model.kernel model with
-  | None -> snd (maximal_fresh ?max_sets model ~universe)
-  | Some k ->
-    let memo = maximal_memo k in
-    let key = univ_key (List.sort_uniq compare universe) in
-    (match memo_find memo key ~max_sets:(Option.value max_sets ~default:default_max_sets) with
-     | Some maximal -> maximal
-     | None ->
-       let n_sets, maximal = maximal_fresh ?max_sets model ~universe in
-       Hashtbl.replace memo key (n_sets, maximal);
-       maximal)
 
 let feasible_assignments model set =
   let set = List.sort_uniq compare set in

@@ -23,9 +23,6 @@ val enumerate_sets : ?max_sets:int -> Model.t -> universe:int list -> int list l
     @raise Failure when more than [max_sets] (default 200000) sets
     exist, as a combinatorial-explosion guard. *)
 
-val maximal_sets : ?max_sets:int -> Model.t -> universe:int list -> int list list
-(** Inclusion-maximal independent subsets of [universe]. *)
-
 val feasible_assignments : Model.t -> int list -> Model.assignment list
 (** All feasible all-positive rate assignments over a set (exponential
     in the set size; sets here are small). *)
@@ -47,7 +44,7 @@ val columns :
     bounds).
 
     With a kernel-backed model ({!Model.physical}) the result — like
-    {!enumerate_sets} and {!maximal_sets} — is memoised per universe for
+    {!enumerate_sets}'s — is memoised per universe for
     the lifetime of the kernel (admission re-queries the same universes
     under every metric); callers must treat the returned columns,
     including their [mbps] arrays, as immutable. *)

@@ -1,6 +1,6 @@
 (** Precomputed conflict kernel over a physical (SINR) topology.
 
-    The naive physical model recomputes, for every feasibility query,
+    A from-scratch physical model recomputes, for every feasibility query,
     the pairwise node distances, received powers and SINR of every link
     in the candidate set — O(|set|²) transcendental evaluations per
     call, repeated exponentially often by the independent-set
@@ -24,10 +24,10 @@
     enumerators' add-one-link/undo discipline in O(|set|) with no
     re-validation of the prefix (anti-monotonicity, Proposition 1).
 
-    All numeric paths reproduce the naive model's float operations
-    exactly (same powers, same SNR compares, same summation order for
-    ascending sets), so results are bit-compatible with
-    {!Model.physical_naive}. *)
+    All numeric paths reproduce the from-scratch model's float
+    operations exactly (same powers, same SNR compares, same summation
+    order for ascending sets), so results are bit-compatible with the
+    test oracle [Wsn_oracles.Physical_naive]. *)
 
 type t
 

@@ -41,18 +41,14 @@ val physical : Wsn_net.Topology.t -> t
     Backed by a precomputed {!Kernel.t} (distance/interference tables,
     half-duplex bitsets, memoised rate vectors), so repeated
     feasibility queries cost array lookups instead of fresh SINR
-    evaluations.  Results agree with {!physical_naive}. *)
-
-val physical_naive : Wsn_net.Topology.t -> t
-(** The reference SINR model: every query recomputes distances, powers
-    and SINR from scratch.  Semantically identical to {!physical};
-    kept as the oracle for the kernel's property tests and as the
-    benchmark baseline. *)
+    evaluations.  Results agree with the from-scratch SINR model
+    [Wsn_oracles.Physical_naive], which the tests and the perf suite
+    build from {!create}. *)
 
 val kernel : t -> Kernel.t option
 (** The precomputed kernel behind a {!physical} model, when there is
     one — the enumerators use it for incremental O(words) feasibility;
-    [None] for declared and naive models. *)
+    [None] for models built with {!create} or {!declared}. *)
 
 val declared :
   n_links:int ->
@@ -109,7 +105,7 @@ val fork_view : t -> t
     domain: kernel-backed models get a {!Kernel.fork} (shared read-only
     tables, fresh memo stores, so concurrent use never races); models
     with no kernel are returned unchanged — safe as long as their
-    closures are pure, which {!declared} and {!physical_naive} are. *)
+    closures are pure, which {!declared}'s are. *)
 
 val has_unique_max : t -> bool
 (** Whether {!max_vector} is exact (unique maximum supported rate

@@ -15,12 +15,12 @@
     lexicographically smaller list of (candidate position, rate),
     a prefix before its extensions — the order in which a search
     branching on every rate meets them — so the column returned is the
-    one rate branching returns.  Without a kernel (declared models,
-    {!Model.physical_naive}) the search branches on every alone rate of
-    each candidate and tests each extension with {!Model.feasible}: a
-    declared predicate need not be monotone in rate, so a set's best
-    vector cannot be read off the set.  That path is the oracle of the
-    set search.
+    one rate branching returns.  Without a kernel (declared models, the
+    test oracle [Wsn_oracles.Physical_naive]) the search branches on
+    every alone rate of each candidate and tests each extension with
+    {!Model.feasible}: a declared predicate need not be monotone in
+    rate, so a set's best vector cannot be read off the set.  That path
+    is the oracle of the set search.
 
     The bound comes from the hard-conflict graph of the candidates
     ({!Model.hard_conflict}: pairs that clash at every rate pair, a

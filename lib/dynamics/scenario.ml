@@ -272,6 +272,3 @@ let generate ?(params = default) ~seed () =
   done;
   { params = p; seed; base; probe_source; probe_target;
     timeline = List.rev !timeline }
-
-let n_events t =
-  List.fold_left (fun acc e -> acc + List.length e.events) 0 t.timeline

@@ -84,6 +84,3 @@ val generate : ?params:params -> seed:int64 -> unit -> t
     "dyn-flows", "dyn-waypoints", "dyn-events") so it composes with
     other seeded components.
     @raise Invalid_argument on out-of-range {!params}. *)
-
-val n_events : t -> int
-(** Total event count across the timeline. *)

@@ -18,9 +18,6 @@ val create : ?fingerprint:string -> dir:string -> unit -> t
     the executable digest — tests use this to simulate code changes.
     @raise Sys_error when [dir] cannot be created. *)
 
-val code_fingerprint : unit -> string
-(** Digest of [Sys.executable_name], computed once. *)
-
 val key : t -> Spec.t -> string
 (** The entry file name: hex MD5 of [canonical spec ^ NUL ^ fingerprint]. *)
 

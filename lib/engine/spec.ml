@@ -66,7 +66,3 @@ let of_canonical line =
 let hash t = Digest.to_hex (Digest.string (canonical t))
 
 let equal a b = String.equal (canonical a) (canonical b)
-
-let compare a b = String.compare (canonical a) (canonical b)
-
-let pp fmt t = Format.pp_print_string fmt (canonical t)

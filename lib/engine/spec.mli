@@ -35,9 +35,3 @@ val hash : t -> string
     job (the cache key additionally mixes in the code fingerprint). *)
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Canonical-string order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!canonical}. *)

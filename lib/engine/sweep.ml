@@ -58,6 +58,20 @@ let result_line (r : Pool.result) =
        :: outcome))
   ^ "\n"
 
+(* Whether [path] is a non-empty file whose last byte is not a newline. *)
+let ends_torn path =
+  match open_in_bin path with
+  | exception Sys_error _ -> false
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let len = in_channel_length ic in
+        len > 0
+        &&
+        (seek_in ic (len - 1);
+         input_char ic <> '\n'))
+
 let run cfg ~runner specs =
   Wsn_telemetry.Span.with_span "engine.sweep" @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -72,11 +86,15 @@ let run cfg ~runner specs =
   let journal_oc =
     Option.map
       (fun path ->
-        let flags =
-          if cfg.resume then [ Open_append; Open_creat; Open_wronly ]
-          else [ Open_trunc; Open_creat; Open_wronly ]
-        in
-        open_out_gen flags 0o644 path)
+        if cfg.resume then begin
+          (* A run killed mid-write leaves a torn last line; end it, so
+             the first appended record starts a line of its own. *)
+          let torn = ends_torn path in
+          let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+          if torn then output_char oc '\n';
+          oc
+        end
+        else open_out_gen [ Open_trunc; Open_creat; Open_wronly ] 0o644 path)
       cfg.journal
   in
   let n = List.length specs in

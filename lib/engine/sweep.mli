@@ -9,7 +9,8 @@
     order as jobs finish, so an interrupted run can [--resume]:
     previously-successful jobs come back as cache hits and
     previously-failed jobs are skipped (reported, not re-run) unless
-    [retry_failed] is set. *)
+    [retry_failed] is set.  A torn last line (a run killed mid-write)
+    is ended before the resumed run appends, so only that line is lost. *)
 
 type config = {
   workers : int;  (** [0] = in-process, [N >= 1] = forked pool. *)

@@ -62,8 +62,6 @@ let find_edge t ~src ~dst =
   check_node t src "find_edge";
   List.find_opt (fun e -> e.dst = dst) (out_edges t src)
 
-let fold_edges f t init = List.fold_left (fun acc e -> f e acc) init (edges t)
-
 let touching t v =
   check_node t v "touching";
   List.filter (fun e -> e.src = v || e.dst = v) (edges t)

@@ -42,8 +42,5 @@ val edges : t -> edge list
 val find_edge : t -> src:int -> dst:int -> edge option
 (** First edge from [src] to [dst], if any. *)
 
-val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over all edges in insertion order. *)
-
 val touching : t -> int -> edge list
 (** [touching t v] lists edges with either endpoint equal to [v]. *)

@@ -1,6 +1,3 @@
-module Matrix = Wsn_linalg.Matrix
-module Vector = Wsn_linalg.Vector
-
 type var = int
 
 type var_decl = { vname : string; lower : float; upper : float option; obj : float }
@@ -88,7 +85,7 @@ let build t =
   (* Expand a (var, coeff) list into standard-form column coefficients,
      returning the constant offset contributed by lower-bound shifts. *)
   let expand terms =
-    let row = Vector.zeros ncols in
+    let row = Array.make ncols 0.0 in
     let offset = ref 0.0 in
     List.iter
       (fun (v, coeff) ->
@@ -110,11 +107,11 @@ let build t =
            match (d.upper, enc.(v)) with
            | None, _ -> []
            | Some u, Shifted { col; lo } ->
-             let row = Vector.zeros ncols in
+             let row = Array.make ncols 0.0 in
              row.(col) <- 1.0;
              [ (row, Types.Le, u -. lo) ]
            | Some u, Split { pos; neg } ->
-             let row = Vector.zeros ncols in
+             let row = Array.make ncols 0.0 in
              row.(pos) <- 1.0;
              row.(neg) <- -1.0;
              [ (row, Types.Le, u) ])
@@ -127,22 +124,13 @@ let build t =
         (row, c.sense, c.rhs -. offset))
       (constraints t)
   in
-  let all_rows = user_rows @ upper_rows in
-  let m = List.length all_rows in
-  let a = Matrix.zeros m ncols in
-  let b = Vector.zeros m in
-  let senses = Array.make m Types.Le in
-  List.iteri
-    (fun i (row, sense, rhs) ->
-      for j = 0 to ncols - 1 do
-        Matrix.set a i j row.(j)
-      done;
-      b.(i) <- rhs;
-      senses.(i) <- sense)
-    all_rows;
+  let all_rows = Array.of_list (user_rows @ upper_rows) in
+  let a = Array.map (fun (row, _, _) -> row) all_rows in
+  let b = Array.map (fun (_, _, rhs) -> rhs) all_rows in
+  let senses = Array.map (fun (_, sense, _) -> sense) all_rows in
   (* Objective in standard columns (internally always a maximisation). *)
   let flip = match t.objective with Types.Maximize -> 1.0 | Types.Minimize -> -1.0 in
-  let c = Vector.zeros ncols in
+  let c = Array.make ncols 0.0 in
   let const_term = ref 0.0 in
   Array.iteri
     (fun v d ->

@@ -1,5 +1,3 @@
-module Matrix = Wsn_linalg.Matrix
-module Vector = Wsn_linalg.Vector
 module Telemetry = Wsn_telemetry.Registry
 
 let m_solves = Telemetry.counter "lp.solves"
@@ -29,7 +27,7 @@ let m_elim_cells = Telemetry.counter "lp.elim_cells"
 type pricing = Dantzig | Devex
 
 type result =
-  | Optimal of { x : Vector.t; objective : float; duals : Vector.t }
+  | Optimal of { x : float array; objective : float; duals : float array }
   | Unbounded
   | Infeasible
 
@@ -385,33 +383,35 @@ let optimise_devex st ~allowed ~iters =
 
 let extract st =
   let tab = st.tab in
-  let x = Vector.zeros (st.n + st.appended) in
+  let x = Array.make (st.n + st.appended) 0.0 in
   for i = 0 to tab.m - 1 do
     let j = tab.basis.(i) in
     if j < st.n then x.(j) <- rhs tab i
     else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- rhs tab i
   done;
-  let duals = Vector.init tab.m (fun i -> st.flip.(i) *. get tab tab.m st.sig_col.(i)) in
+  let duals = Array.init tab.m (fun i -> st.flip.(i) *. get tab tab.m st.sig_col.(i)) in
   Optimal { x; objective = get tab tab.m tab.cap; duals }
 
 let solve_raw ~pricing ~perturb ~a ~b ~c ~senses =
-  let m = Matrix.rows a in
-  let n = Matrix.cols a in
-  if Vector.dim b <> m then invalid_arg "Tableau.solve: b dimension mismatch";
-  if Vector.dim c <> n then invalid_arg "Tableau.solve: c dimension mismatch";
+  let m = Array.length a in
+  let n = if m = 0 then Array.length c else Array.length a.(0) in
+  Array.iter (fun row -> if Array.length row <> n then invalid_arg "Tableau.solve: ragged rows") a;
+  if Array.length b <> m then invalid_arg "Tableau.solve: b dimension mismatch";
+  if Array.length c <> n then invalid_arg "Tableau.solve: c dimension mismatch";
   if Array.length senses <> m then invalid_arg "Tableau.solve: senses dimension mismatch";
   (* Normalise rows to non-negative right-hand sides.  A [Ge] row with a
      zero right-hand side is also flipped (ax ≥ 0 ⟺ -ax ≤ 0): as a [Le]
      row its slack starts basic and feasible, so it needs no artificial —
      in the bandwidth masters most cover rows are exactly such zero-load
-     rows, and this keeps them out of phase 1 entirely. *)
-  let rows = Array.init m (fun i -> Matrix.row a i) in
+     rows, and this keeps them out of phase 1 entirely.  A flipped row is
+     a fresh array: the caller's rows are only read. *)
+  let rows = Array.copy a in
   let rhs0 = Array.init m (fun i -> b.(i)) in
   let senses = Array.copy senses in
   let flip = Array.make m 1.0 in
   for i = 0 to m - 1 do
     if rhs0.(i) < 0.0 || (rhs0.(i) = 0.0 && senses.(i) = Types.Ge) then begin
-      rows.(i) <- Vector.scale (-1.0) rows.(i);
+      rows.(i) <- Array.map (fun x -> -1.0 *. x) rows.(i);
       rhs0.(i) <- (if rhs0.(i) = 0.0 then 0.0 else -.rhs0.(i));
       flip.(i) <- -1.0;
       senses.(i) <-
@@ -706,7 +706,7 @@ let rhs_ranging st ~dir = rhs_range_of st (direction_column st ~dir)
    the tableau (shape of [extract], values injected). *)
 let result_of_rows st ~value_of_row ~objective ~duals =
   let tab = st.tab in
-  let x = Vector.zeros (st.n + st.appended) in
+  let x = Array.make (st.n + st.appended) 0.0 in
   for i = 0 to tab.m - 1 do
     let j = tab.basis.(i) in
     let v = value_of_row i in
@@ -714,7 +714,7 @@ let result_of_rows st ~value_of_row ~objective ~duals =
     if j < st.n then x.(j) <- v
     else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- v
   done;
-  Optimal { x; objective; duals = Vector.init tab.m (fun i -> duals.(i)) }
+  Optimal { x; objective; duals = Array.sub duals 0 tab.m }
 
 type dual_outcome = Dual_finished | Dual_infeasible
 

@@ -16,8 +16,8 @@
 type pricing =
   | Dantzig
       (** Most-negative reduced cost, Bland fallback after a stall: the
-          reference arm, bit-reproducible against the retained Matrix
-          tableau. *)
+          reference arm, bit-reproducible against the former row-major
+          matrix tableau. *)
   | Devex
       (** Reference-weight (Devex) pricing with a candidate-list partial
           scan — far fewer pivots on degenerate masters.  Same optimum;
@@ -25,9 +25,9 @@ type pricing =
 
 type result =
   | Optimal of {
-      x : Wsn_linalg.Vector.t;
+      x : float array;
       objective : float;
-      duals : Wsn_linalg.Vector.t;
+      duals : float array;
           (** One dual multiplier per input row (order preserved):
               [Σ_i duals.(i) · b.(i) = objective] at the optimum (strong
               duality), and for every column [j],
@@ -38,14 +38,17 @@ type result =
   | Infeasible  (** No point satisfies all constraints. *)
 
 val solve :
-  a:Wsn_linalg.Matrix.t ->
-  b:Wsn_linalg.Vector.t ->
-  c:Wsn_linalg.Vector.t ->
+  a:float array array ->
+  b:float array ->
+  c:float array ->
   senses:Types.sense array ->
   result
 (** [solve ~a ~b ~c ~senses] maximises [c·x] subject to the rows of
-    [a]/[b]/[senses] and [x ≥ 0].
-    @raise Invalid_argument on dimension mismatches.
+    [a]/[b]/[senses] and [x ≥ 0].  [a] is read, never written: rows
+    with a negative right-hand side are negated into fresh arrays.
+    @raise Invalid_argument on ragged rows in [a] (or rows whose length
+    is not that of [c]) and on a [b] or [senses] length other than the
+    row count.
     @raise Failure if the iteration cap is exceeded (indicates a bug). *)
 
 (** {1 Warm-started column generation}
@@ -64,9 +67,9 @@ type state
 val solve_open :
   ?pricing:pricing ->
   ?perturb:bool ->
-  a:Wsn_linalg.Matrix.t ->
-  b:Wsn_linalg.Vector.t ->
-  c:Wsn_linalg.Vector.t ->
+  a:float array array ->
+  b:float array ->
+  c:float array ->
   senses:Types.sense array ->
   unit ->
   result * state option

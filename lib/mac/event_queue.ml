@@ -68,19 +68,6 @@ let schedule q ~time payload =
 
 let next_time q = if q.n = 0 then None else Some q.heap.(0).time
 
-let pop q =
-  if q.n = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    Telemetry.incr m_events;
-    q.n <- q.n - 1;
-    if q.n > 0 then begin
-      q.heap.(0) <- q.heap.(q.n);
-      sift_down q 0
-    end;
-    Some (top.time, top.payload)
-  end
-
 let rec drain_until q ~time f =
   if q.n > 0 && q.heap.(0).time <= time then begin
     let top = q.heap.(0) in

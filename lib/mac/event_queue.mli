@@ -23,9 +23,6 @@ val schedule : 'a t -> time:int -> 'a -> unit
 val next_time : 'a t -> int option
 (** Time of the earliest pending event. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event (FIFO among equal times). *)
-
 val drain_until : 'a t -> time:int -> (int -> 'a -> unit) -> unit
 (** [drain_until q ~time f] pops every event with time at most [time],
     in order, calling [f time payload] on each — no list is built, so

@@ -21,13 +21,6 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Int_buf.get: index out of range";
   t.a.(i)
 
-let sum t =
-  let acc = ref 0 in
-  for i = 0 to t.n - 1 do
-    acc := !acc + t.a.(i)
-  done;
-  !acc
-
 let to_sorted_array t =
   let out = Array.sub t.a 0 t.n in
   Array.sort Int.compare out;

@@ -24,7 +24,5 @@ val push : t -> int -> unit
 val get : t -> int -> int
 (** @raise Invalid_argument out of [0, length). *)
 
-val sum : t -> int
-
 val to_sorted_array : t -> int array
 (** A fresh ascending-sorted copy of the contents. *)

@@ -21,10 +21,11 @@
     Everything is deterministic in the seed.  {!run} is the production
     loop — event-driven, refcounted carrier sensing, busy time credited
     once per busy period, bulk jumps over every slot where stations
-    only count down, allocation-free per slot; {!run_reference} is the
-    original slot-stepping loop kept as the behavioural oracle.  Both produce
-    byte-identical {!stats} (pinned by the QCheck parity suite; the
-    jump-soundness argument is DESIGN.md Appendix E). *)
+    only count down, allocation-free per slot.  The original
+    slot-stepping loop, [Wsn_oracles.Sim_reference.run], is kept beside
+    the tests as the behavioural oracle.  Both produce byte-identical
+    {!stats} (pinned by the QCheck parity suite; the jump-soundness
+    argument is DESIGN.md Appendix E). *)
 
 type flow_spec = {
   links : int list;  (** The flow's route as topology link ids; each link's source must be the previous link's destination. *)
@@ -50,6 +51,12 @@ type stats = {
 
 val link_idleness : stats -> Wsn_net.Topology.t -> int -> float
 (** Equation 10 on measured data: min of the endpoints' idleness. *)
+
+val validate_flows : Wsn_net.Topology.t -> flow_spec list -> unit
+(** The input check of {!run} (and of the slot-stepping oracle the
+    tests compare it with).
+    @raise Invalid_argument on an empty route, links that do not chain,
+    or a negative demand. *)
 
 type prepared
 (** A topology's precomputed channel kernel: pairwise distances and
@@ -96,17 +103,6 @@ val run :
     precomputed kernel.
     @raise Invalid_argument on an invalid route, negative demand, or a
     [prepared] kernel built from a different topology. *)
-
-val run_reference :
-  ?config:Dcf_config.t ->
-  ?seed:int64 ->
-  Wsn_net.Topology.t ->
-  flows:flow_spec list ->
-  duration_us:int ->
-  stats
-(** The original O(n·active)-per-slot loop, kept as the oracle {!run}
-    is tested against.  Same inputs, byte-identical output, no fast
-    paths — use it for differential testing, not production. *)
 
 val run_replications :
   ?config:Dcf_config.t ->

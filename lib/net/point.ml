@@ -5,5 +5,3 @@ let make x y = { x; y }
 let distance a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
-
-let pp fmt { x; y } = Format.fprintf fmt "(%.1f, %.1f)" x y

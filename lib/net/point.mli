@@ -8,6 +8,3 @@ val make : float -> float -> t
 
 val distance : t -> t -> float
 (** Euclidean distance. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints [(x, y)] with one decimal. *)

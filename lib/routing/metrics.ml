@@ -21,5 +21,3 @@ let weight topo ~idleness metric (e : Digraph.edge) =
   | Average_e2e_delay ->
     let lam = idleness id in
     if lam <= 0.0 then infinity else 1.0 /. (lam *. Topology.alone_mbps topo id)
-
-let pp fmt m = Format.pp_print_string fmt (name m)

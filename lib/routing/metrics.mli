@@ -27,6 +27,3 @@ val weight :
 (** [weight topo ~idleness m] is the additive link cost of metric [m];
     [idleness] maps a link id to its usable idle share (ignored except
     by [Average_e2e_delay]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!name}. *)

@@ -86,8 +86,6 @@ let create ?(metric = Metrics.Average_e2e_delay) ?(pricer = Column_gen.Exact) ~m
     counts = [];
   }
 
-let mode t = t.smode
-
 let live_flows t = List.length t.flows
 
 let background t = List.map snd t.flows

@@ -62,8 +62,6 @@ val create :
     topologies the exact pricer cannot touch.  A [Cold] session ignores
     it (full enumeration). *)
 
-val mode : t -> mode
-
 val live_flows : t -> int
 (** Currently admitted flows. *)
 

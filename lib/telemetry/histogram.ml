@@ -51,8 +51,6 @@ let min_value h = h.min_v
 
 let max_value h = h.max_v
 
-let mean h = if h.count = 0 then nan else h.sum /. float_of_int h.count
-
 let quantile h q =
   if h.count = 0 then nan
   else begin

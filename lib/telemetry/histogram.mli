@@ -28,6 +28,4 @@ val quantile : t -> float -> float
     @raise Invalid_argument when [p] is outside [0, 100]. *)
 val percentile : t -> float -> float
 
-val mean : t -> float
-
 val clear : t -> unit

@@ -1,3 +1,5 @@
+module Digraph = Wsn_graph.Digraph
+
 type result =
   | Distances of float array
   | Negative_cycle

@@ -1,6 +1,6 @@
 (** Bellman–Ford shortest paths.
 
-    Slower than {!Dijkstra} but independent of it; the test suite uses
+    Slower than {!Wsn_graph.Dijkstra} but independent of it; the test suite uses
     it as an oracle for Dijkstra on random graphs.  Negative weights are
     accepted; negative cycles are reported. *)
 
@@ -8,7 +8,7 @@ type result =
   | Distances of float array  (** [dist.(v)], [infinity] if unreachable. *)
   | Negative_cycle  (** A negative cycle is reachable from the source. *)
 
-val distances : Digraph.t -> weight:(Digraph.edge -> float) -> source:int -> result
+val distances : Wsn_graph.Digraph.t -> weight:(Wsn_graph.Digraph.edge -> float) -> source:int -> result
 (** [distances g ~weight ~source] relaxes every edge [n_nodes - 1]
     times, then reports a negative cycle if another relaxation still
     improves some distance.

@@ -1,3 +1,5 @@
+module Digraph = Wsn_graph.Digraph
+
 let distances g ~weight =
   let n = Digraph.n_nodes g in
   let d = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0.0 else infinity)) in

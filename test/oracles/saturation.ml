@@ -1,3 +1,5 @@
+module Dcf_config = Wsn_mac.Dcf_config
+
 type prediction = {
   tau : float;
   collision_probability : float;

@@ -26,7 +26,7 @@ type prediction = {
   total_throughput_mbps : float;  (** Aggregate goodput of all [n] stations. *)
 }
 
-val predict : ?config:Dcf_config.t -> n_stations:int -> rate_mbps:float -> unit -> prediction
+val predict : ?config:Wsn_mac.Dcf_config.t -> n_stations:int -> rate_mbps:float -> unit -> prediction
 (** [predict ~n_stations ~rate_mbps ()] solves the fixed point by
     bisection (the right-hand side is monotone in [p]).
     @raise Invalid_argument if [n_stations < 1] or [rate_mbps <= 0]. *)

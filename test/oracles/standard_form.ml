@@ -1,10 +1,10 @@
-module Matrix = Wsn_linalg.Matrix
-module Vector = Wsn_linalg.Vector
+module Tableau = Wsn_lp.Tableau
+module Types = Wsn_lp.Types
 
 type t = {
-  a : Matrix.t;
-  b : Vector.t;
-  c : Vector.t;
+  a : float array array;
+  b : float array;
+  c : float array;
   senses : Types.sense array;
 }
 
@@ -16,7 +16,7 @@ let of_canonical ~a ~b ~c ~senses =
     (fun row ->
       if Array.length row <> Array.length c then invalid_arg "Standard_form.of_canonical: row shape")
     a;
-  { a = Matrix.of_rows a; b = Array.copy b; c = Array.copy c; senses = Array.of_list senses }
+  { a = Array.map Array.copy a; b = Array.copy b; c = Array.copy c; senses = Array.of_list senses }
 
 let solve t = Tableau.solve ~a:t.a ~b:t.b ~c:t.c ~senses:t.senses
 
@@ -29,12 +29,11 @@ let dual t =
       | Types.Eq -> invalid_arg "Standard_form.dual: Eq rows need free duals"
       | Types.Le | Types.Ge -> ())
     t.senses;
-  let m = Matrix.rows t.a and n = Matrix.cols t.a in
+  let m = Array.length t.a and n = Array.length t.c in
   let sign i = match t.senses.(i) with Types.Ge -> -1.0 | Types.Le | Types.Eq -> 1.0 in
-  let a_le = Matrix.init m n (fun i j -> sign i *. Matrix.get t.a i j) in
   let b_le = Array.mapi (fun i bi -> sign i *. bi) t.b in
   {
-    a = Matrix.init n m (fun j i -> Matrix.get a_le i j);
+    a = Array.init n (fun j -> Array.init m (fun i -> sign i *. t.a.(i).(j)));
     b = Array.copy t.c;
     c = Array.map Float.neg b_le;
     senses = Array.make n Types.Ge;

@@ -7,18 +7,18 @@
     the solver that involves no shared code path beyond the tableau. *)
 
 type t = {
-  a : Wsn_linalg.Matrix.t;  (** Constraint rows. *)
-  b : Wsn_linalg.Vector.t;  (** Right-hand sides. *)
-  c : Wsn_linalg.Vector.t;  (** Objective (maximisation). *)
-  senses : Types.sense array;  (** Row senses. *)
+  a : float array array;  (** Constraint rows. *)
+  b : float array;  (** Right-hand sides. *)
+  c : float array;  (** Objective (maximisation). *)
+  senses : Wsn_lp.Types.sense array;  (** Row senses. *)
 }
 (** maximize [c·x] subject to [A_i·x (sense_i) b_i], [x ≥ 0]. *)
 
-val of_canonical : a:float array array -> b:float array -> c:float array -> senses:Types.sense list -> t
+val of_canonical : a:float array array -> b:float array -> c:float array -> senses:Wsn_lp.Types.sense list -> t
 (** Assemble from plain arrays.
     @raise Invalid_argument on shape mismatches. *)
 
-val solve : t -> Tableau.result
+val solve : t -> Wsn_lp.Tableau.result
 (** Run the two-phase simplex on the standard form. *)
 
 val dual : t -> t

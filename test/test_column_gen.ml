@@ -4,6 +4,7 @@
 module Model = Wsn_conflict.Model
 module Independent = Wsn_conflict.Independent
 module Pricing = Wsn_conflict.Pricing
+module Physical_naive = Wsn_oracles.Physical_naive
 module Rate = Wsn_radio.Rate
 module Builders = Wsn_net.Builders
 module Schedule = Wsn_sched.Schedule
@@ -632,7 +633,7 @@ let random_small_world seed =
     { (Wsn_workload.Scenarios.Scale_scenario.config ~n_nodes:30) with Generator.n_nodes }
   in
   let topo = Generator.connected_topology rng cfg in
-  (rng, Model.physical topo, Model.physical_naive topo)
+  (rng, Model.physical topo, Physical_naive.model topo)
 
 (* Weights from {0, 1/36, 1/9, 1/4}: many sets tie exactly, so the
    returned column depends on how ties are broken, not only on the
@@ -671,7 +672,7 @@ let test_exact_colgen_kernel_equals_naive () =
       | [] | [ _ ] -> ()
       | path :: rest ->
         let naive =
-          Model.physical_naive (Wsn_conflict.Kernel.topology (Option.get (Model.kernel model)))
+          Physical_naive.model (Wsn_conflict.Kernel.topology (Option.get (Model.kernel model)))
         in
         let background = List.map (fun p -> Flow.make ~path:p ~demand_mbps:0.4) rest in
         let run m = Column_gen.available ~pricer:Column_gen.Exact m ~background ~path in
@@ -748,7 +749,7 @@ let test_set_search_multiword () =
     let price model =
       Pricing.max_weight_independent model ~weights:(fun l -> w.(l)) ~universe:(List.init n Fun.id)
     in
-    match (price (Model.physical topo), price (Model.physical_naive topo)) with
+    match (price (Model.physical topo), price (Physical_naive.model topo)) with
     | Some (a, v), Some (a', v') ->
       check Alcotest.bool "same column" true (a = a');
       check Alcotest.string "same value" (Printf.sprintf "%h" v') (Printf.sprintf "%h" v)

@@ -4,6 +4,8 @@
 module Model = Wsn_conflict.Model
 module Independent = Wsn_conflict.Independent
 module Clique = Wsn_conflict.Clique
+module Physical_naive = Wsn_oracles.Physical_naive
+module Maximal_sets = Wsn_oracles.Maximal_sets
 module Rate = Wsn_radio.Rate
 module Point = Wsn_net.Point
 module Topology = Wsn_net.Topology
@@ -52,7 +54,7 @@ let test_s2_independent_sets () =
   check Alcotest.bool "pair {0,3} present" true (List.mem [ 0; 3 ] sets)
 
 let test_s2_maximal_sets () =
-  let maximal = Independent.maximal_sets S2.model ~universe:[ 0; 1; 2; 3 ] in
+  let maximal = Maximal_sets.of_universe S2.model ~universe:[ 0; 1; 2; 3 ] in
   check
     (Alcotest.list (Alcotest.list Alcotest.int))
     "maximal sets"
@@ -336,7 +338,7 @@ let suite = suite @ witness_suite
 
 (* The bitset kernel behind [Model.physical] must be behaviourally
    invisible: on the same topology every query answers exactly as the
-   from-scratch [Model.physical_naive] oracle — including the floats
+   from-scratch [Physical_naive.model] oracle — including the floats
    behind the rate decisions, so the comparisons are exact, not
    tolerant. *)
 
@@ -353,7 +355,7 @@ let qcheck_kernel_queries_match_naive =
       let rng = Pcg32.create (Int64.of_int seed) in
       let topo = random_topology rng ~nodes:8 ~side:450.0 in
       let fast = Model.physical topo in
-      let naive = Model.physical_naive topo in
+      let naive = Physical_naive.model topo in
       let n = Topology.n_links topo in
       if n = 0 then true
       else begin
@@ -388,7 +390,7 @@ let qcheck_kernel_enumeration_matches_naive =
       let rng = Pcg32.create (Int64.of_int seed) in
       let topo = random_topology rng ~nodes:7 ~side:450.0 in
       let fast = Model.physical topo in
-      let naive = Model.physical_naive topo in
+      let naive = Physical_naive.model topo in
       let universe = List.init (Topology.n_links topo) Fun.id in
       let catching f = try Ok (f ()) with Failure m -> Error m in
       let eq_columns a b =
@@ -406,8 +408,8 @@ let qcheck_kernel_enumeration_matches_naive =
       in
       catching (fun () -> Independent.enumerate_sets ~max_sets:20_000 fast ~universe)
       = catching (fun () -> Independent.enumerate_sets ~max_sets:20_000 naive ~universe)
-      && catching (fun () -> Independent.maximal_sets ~max_sets:20_000 fast ~universe)
-         = catching (fun () -> Independent.maximal_sets ~max_sets:20_000 naive ~universe)
+      && catching (fun () -> Maximal_sets.of_universe ~max_sets:20_000 fast ~universe)
+         = catching (fun () -> Maximal_sets.of_universe ~max_sets:20_000 naive ~universe)
       && eq_columns
            (catching (fun () -> Independent.columns ~max_sets:20_000 fast ~universe))
            (catching (fun () -> Independent.columns ~max_sets:20_000 naive ~universe))
@@ -563,7 +565,7 @@ let qcheck_hard_conflict_is_slowest_rate_interference =
     (fun seed ->
       let rng = Pcg32.create (Int64.of_int seed) in
       let topo = random_topology rng ~nodes:8 ~side:450.0 in
-      let fast = Model.physical topo and naive = Model.physical_naive topo in
+      let fast = Model.physical topo and naive = Physical_naive.model topo in
       let live =
         Array.of_list
           (List.filter

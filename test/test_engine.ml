@@ -258,6 +258,27 @@ let test_resume_skips_failed () =
   check Alcotest.int "retry-failed re-runs" 0 third.Sweep.skipped_failed;
   check Alcotest.int "and it still fails" 1 third.Sweep.failed
 
+let test_resume_after_torn_tail () =
+  (* A run killed mid-write leaves the journal's last line torn.  The
+     resumed run's records must start on lines of their own: one
+     written onto the torn line would be dropped with it by the next
+     load, and its job re-run. *)
+  let dir = fresh_dir () in
+  let specs = [ spec ~seed:1L (); spec ~seed:2L (); spec ~seed:3L () ] in
+  let cfg = { (sweep_cfg ~dir ~workers:0) with Sweep.cache_dir = None } in
+  let path = Option.get cfg.Sweep.journal in
+  ignore (Sweep.run cfg ~runner:Sweep_jobs.runner specs);
+  let first_line = List.hd (String.split_on_char '\n' (read_file path)) in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub first_line 0 40));
+  check Alcotest.int "torn journal loads empty" 0 (List.length (Journal.load path));
+  ignore (Sweep.run { cfg with Sweep.resume = true } ~runner:Sweep_jobs.runner specs);
+  let loaded = Journal.last_by_hash (Journal.load path) in
+  List.iter
+    (fun s ->
+      check Alcotest.bool ("record for " ^ Spec.canonical s) true
+        (Hashtbl.mem loaded (Spec.hash s)))
+    specs
+
 let test_inprocess_matches_forked () =
   (* workers=0 (in-process) must produce the same payloads as the
      forked pool — it is the embedded/aggregate path. *)
@@ -306,6 +327,7 @@ let suite =
     Alcotest.test_case "fault injection: raising job" `Slow test_fault_injection_fail;
     Alcotest.test_case "fault injection: crash + timeout" `Slow test_fault_injection_crash_and_timeout;
     Alcotest.test_case "resume skips failed jobs" `Slow test_resume_skips_failed;
+    Alcotest.test_case "resume after a torn journal tail" `Slow test_resume_after_torn_tail;
     Alcotest.test_case "in-process matches forked" `Slow test_inprocess_matches_forked;
     Alcotest.test_case "fig3 byte-identity (seed 30)" `Slow test_fig3_engine_byte_identity;
   ]

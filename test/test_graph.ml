@@ -5,7 +5,7 @@ module Digraph = Wsn_graph.Digraph
 module Pqueue = Wsn_graph.Pqueue
 module Path = Wsn_graph.Path
 module Dijkstra = Wsn_graph.Dijkstra
-module Bellman_ford = Wsn_graph.Bellman_ford
+module Bellman_ford = Wsn_oracles.Bellman_ford
 module Yen = Wsn_graph.Yen
 module Components = Wsn_graph.Components
 
@@ -212,7 +212,7 @@ let suite =
 
 (* --- Floyd–Warshall --------------------------------------------------- *)
 
-module Floyd_warshall = Wsn_graph.Floyd_warshall
+module Floyd_warshall = Wsn_oracles.Floyd_warshall
 
 let test_floyd_warshall_diamond () =
   let g, e01, e13, _, _, e03 = diamond () in

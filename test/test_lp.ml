@@ -5,12 +5,16 @@
 module Problem = Wsn_lp.Problem
 module Tableau = Wsn_lp.Tableau
 module Types = Wsn_lp.Types
-module Matrix = Wsn_linalg.Matrix
-module Vector = Wsn_linalg.Vector
 
 let check = Alcotest.check
 
 let float_tol = Alcotest.float 1e-6
+
+(* Inner product of two vectors of equal length. *)
+let dot u v =
+  let acc = ref 0.0 in
+  Array.iteri (fun i ui -> acc := !acc +. (ui *. v.(i))) u;
+  !acc
 
 let solve_simple () =
   (* max 3x + 2y  s.t. x + y <= 4, x + 3y <= 6 -> x=4, y=0, obj 12 *)
@@ -211,17 +215,15 @@ let qcheck_vs_brute_force =
       let a = Array.append a_rand [| [| 1.0; 1.0; 1.0 |] |] in
       let b = Array.append b_rand [| 20.0 |] in
       let senses = Array.make 4 Types.Le in
-      let matrix = Matrix.of_rows a in
-      match Tableau.solve ~a:matrix ~b ~c ~senses with
+      match Tableau.solve ~a ~b ~c ~senses with
       | Tableau.Unbounded -> false (* impossible: region is bounded *)
       | Tableau.Infeasible -> false (* impossible: origin is feasible (b >= 1) *)
       | Tableau.Optimal { objective; x; _ } ->
         let feas =
           Array.for_all (fun v -> v >= -1e-7) x
           && Array.for_all2
-               (fun row rhs -> Vector.dot row x <= rhs +. 1e-6)
-               (Array.init 4 (fun i -> Matrix.row matrix i))
-               b
+               (fun row rhs -> dot row x <= rhs +. 1e-6)
+               a b
         in
         feas
         &&
@@ -246,6 +248,40 @@ let qcheck_minimize_is_negated_maximize =
         Float.abs (a.Problem.objective +. b.Problem.objective) < 1e-6
       | _ -> false)
 
+(* The tableau's input is plain arrays, so it checks their shapes
+   itself: every row as long as [c], one [b] entry and one sense per
+   row. *)
+let tableau_rejects_bad_shapes () =
+  let a = [| [| 1.0; 1.0 |]; [| 1.0; 3.0 |] |] and b = [| 4.0; 6.0 |] and c = [| 3.0; 2.0 |] in
+  let senses = [| Types.Le; Types.Le |] in
+  let rejects name msg ~a ~b ~c ~senses =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Tableau.solve ~a ~b ~c ~senses))
+  in
+  rejects "ragged rows" "Tableau.solve: ragged rows" ~a:[| [| 1.0; 1.0 |]; [| 1.0 |] |] ~b ~c
+    ~senses;
+  rejects "b too short" "Tableau.solve: b dimension mismatch" ~a ~b:[| 4.0 |] ~c ~senses;
+  rejects "c too long" "Tableau.solve: c dimension mismatch" ~a ~b ~c:[| 3.0; 2.0; 1.0 |] ~senses;
+  rejects "senses too long" "Tableau.solve: senses dimension mismatch" ~a ~b ~c
+    ~senses:[| Types.Le; Types.Le; Types.Le |];
+  Alcotest.check_raises "warm entry checks too" (Invalid_argument "Tableau.solve: ragged rows")
+    (fun () ->
+      ignore (Tableau.solve_open ~a:[| [| 1.0 |]; [| 1.0; 1.0 |] |] ~b ~c ~senses ()))
+
+(* Rows with a negative or zero-[Ge] right-hand side are negated inside
+   the solver; the caller's rows must come back untouched. *)
+let tableau_leaves_input_unchanged () =
+  let a = [| [| 1.0; 1.0 |]; [| -1.0; 2.0 |]; [| 1.0; -1.0 |] |] in
+  let b = [| 4.0; -1.0; 0.0 |] and c = [| 3.0; 2.0 |] in
+  let senses = [| Types.Le; Types.Le; Types.Ge |] in
+  let copy = Array.map Array.copy a in
+  (match Tableau.solve ~a ~b ~c ~senses with
+   | Tableau.Optimal _ -> ()
+   | _ -> Alcotest.fail "expected optimal");
+  ignore (Tableau.solve_open ~a ~b ~c ~senses ());
+  check (Alcotest.array (Alcotest.array (Alcotest.float 0.0))) "rows unchanged" copy a;
+  check (Alcotest.array (Alcotest.float 0.0)) "b unchanged" [| 4.0; -1.0; 0.0 |] b
+
 let suite =
   [
     Alcotest.test_case "simple maximize" `Quick solve_simple;
@@ -259,13 +295,15 @@ let suite =
     Alcotest.test_case "duplicate terms accumulate" `Quick solve_duplicate_terms;
     Alcotest.test_case "negative rhs normalisation" `Quick solve_negative_rhs;
     Alcotest.test_case "add_var validation" `Quick add_var_validation;
+    Alcotest.test_case "tableau rejects bad shapes" `Quick tableau_rejects_bad_shapes;
+    Alcotest.test_case "tableau leaves its input unchanged" `Quick tableau_leaves_input_unchanged;
     QCheck_alcotest.to_alcotest qcheck_vs_brute_force;
     QCheck_alcotest.to_alcotest qcheck_minimize_is_negated_maximize;
   ]
 
 (* --- standard form and duality --------------------------------------- *)
 
-module Standard_form = Wsn_lp.Standard_form
+module Standard_form = Wsn_oracles.Standard_form
 
 let test_standard_form_roundtrip () =
   let sf =
@@ -359,15 +397,15 @@ let qcheck_duals_certify_optimum =
     (fun (a, c) ->
       let b = [| 5.0; 7.0; 9.0 |] in
       let senses = Array.make 3 Types.Le in
-      match Tableau.solve ~a:(Matrix.of_rows a) ~b ~c ~senses with
+      match Tableau.solve ~a ~b ~c ~senses with
       | Tableau.Optimal { objective; duals; _ } ->
-        let yb = Vector.dot duals b in
+        let yb = dot duals b in
         Array.for_all (fun yi -> yi >= -1e-7) duals
         && Float.abs (yb -. objective) < 1e-5
         && List.for_all
              (fun j ->
                let col = Array.map (fun row -> row.(j)) a in
-               Vector.dot duals col >= c.(j) -. 1e-6)
+               dot duals col >= c.(j) -. 1e-6)
              [ 0; 1; 2 ]
       | _ -> false)
 
@@ -383,11 +421,11 @@ let qcheck_duals_with_ge_rows =
       let b = [| p; q |] in
       let c = [| -1.0; -1.0 |] in
       let senses = [| Types.Ge; Types.Ge |] in
-      match Tableau.solve ~a:(Matrix.of_rows a) ~b ~c ~senses with
+      match Tableau.solve ~a ~b ~c ~senses with
       | Tableau.Optimal { objective; duals; _ } ->
         (* For Ge rows in a maximisation, duals are <= 0. *)
         Array.for_all (fun yi -> yi <= 1e-7) duals
-        && Float.abs (Vector.dot duals b -. objective) < 1e-6
+        && Float.abs (dot duals b -. objective) < 1e-6
       | _ -> false)
 
 let dual_value_suite =
@@ -426,8 +464,32 @@ let suite = suite @ introspection_suite
    equal optima, because it preserves the order of every float op; this
    reference pins that claim against the old layout. *)
 module Ref_tableau = struct
+  (* The dense row-major matrix the old tableau was built on, cut to
+     the operations it used; the row loops are the old ones as they
+     were, since their float-op order is what the parity checks. *)
+  module Matrix = struct
+    type t = { data : float array; cols : int }
+
+    let zeros rows cols = { data = Array.make (rows * cols) 0.0; cols }
+
+    let get m i j = m.data.((i * m.cols) + j)
+
+    let set m i j x = m.data.((i * m.cols) + j) <- x
+
+    let scale_row m i a =
+      for j = 0 to m.cols - 1 do
+        set m i j (a *. get m i j)
+      done
+
+    let add_scaled_row m ~src ~dst a =
+      if a <> 0.0 then
+        for j = 0 to m.cols - 1 do
+          set m dst j (get m dst j +. (a *. get m src j))
+        done
+  end
+
   type result =
-    | Optimal of { x : Vector.t; objective : float; duals : Vector.t }
+    | Optimal of { x : float array; objective : float; duals : float array }
     | Unbounded
     | Infeasible
 
@@ -534,25 +596,25 @@ module Ref_tableau = struct
 
   let extract st =
     let tab = st.tab in
-    let x = Vector.zeros (st.n + st.appended) in
+    let x = Array.make (st.n + st.appended) 0.0 in
     for i = 0 to tab.m - 1 do
       let j = tab.basis.(i) in
       if j < st.n then x.(j) <- rhs tab i
       else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- rhs tab i
     done;
-    let duals = Vector.init tab.m (fun i -> st.flip.(i) *. Matrix.get tab.t tab.m st.sig_col.(i)) in
+    let duals = Array.init tab.m (fun i -> st.flip.(i) *. Matrix.get tab.t tab.m st.sig_col.(i)) in
     Optimal { x; objective = Matrix.get tab.t tab.m tab.cap; duals }
 
   let solve_raw ~a ~b ~c ~senses =
-    let m = Matrix.rows a in
-    let n = Matrix.cols a in
-    let rows = Array.init m (fun i -> Matrix.row a i) in
+    let m = Array.length a in
+    let n = Array.length c in
+    let rows = Array.map Array.copy a in
     let rhs0 = Array.init m (fun i -> b.(i)) in
     let senses = Array.copy senses in
     let flip = Array.make m 1.0 in
     for i = 0 to m - 1 do
       if rhs0.(i) < 0.0 || (rhs0.(i) = 0.0 && senses.(i) = Types.Ge) then begin
-        rows.(i) <- Vector.scale (-1.0) rows.(i);
+        rows.(i) <- Array.map (fun x -> -1.0 *. x) rows.(i);
         rhs0.(i) <- (if rhs0.(i) = 0.0 then 0.0 else -.rhs0.(i));
         flip.(i) <- -1.0;
         senses.(i) <-
@@ -698,8 +760,7 @@ let qcheck_flat_parity_solve =
   (* Mixed senses and negative right-hand sides exercise phase 1, row
      flips and the artificial drive-out on both layouts. *)
   QCheck.Test.make ~name:"flat tableau bit-identical to Matrix layout" ~count:500
-    (QCheck.make parity_gen) (fun (rows, b, senses, c) ->
-      let a = Matrix.of_rows rows in
+    (QCheck.make parity_gen) (fun (a, b, senses, c) ->
       results_bit_identical (Tableau.solve ~a ~b ~c ~senses)
         (fst (Ref_tableau.solve_open ~a ~b ~c ~senses)))
 
@@ -707,8 +768,7 @@ let qcheck_flat_parity_warm =
   (* The warm path covers add_column's grow-and-blit (appending 9
      columns forces at least one reallocation on both layouts). *)
   QCheck.Test.make ~name:"warm add_column/reoptimize bit-identical to Matrix layout" ~count:200
-    (QCheck.make parity_gen) (fun (rows, b, senses, c) ->
-      let a = Matrix.of_rows rows in
+    (QCheck.make parity_gen) (fun (a, b, senses, c) ->
       match
         ( Tableau.solve_open ~pricing:Tableau.Dantzig ~perturb:false ~a ~b ~c ~senses (),
           Ref_tableau.solve_open ~a ~b ~c ~senses )
@@ -777,7 +837,7 @@ let eq6_master_gen =
 let qcheck_eq6_parity_warm =
   QCheck.Test.make ~name:"Eq. 6-shaped warm masters bit-identical to Matrix layout" ~count:100
     (QCheck.make eq6_master_gen) (fun mst ->
-      let a = Matrix.of_rows mst.rows and b = mst.b and c = mst.c and senses = mst.senses in
+      let a = mst.rows and b = mst.b and c = mst.c and senses = mst.senses in
       match
         ( Tableau.solve_open ~pricing:Tableau.Dantzig ~perturb:false ~a ~b ~c ~senses (),
           Ref_tableau.solve_open ~a ~b ~c ~senses )
@@ -818,8 +878,7 @@ let qcheck_devex_parity =
      guarantees an exact optimum of the same problem: objectives must
      agree on the cold solve and on every warm resolve. *)
   QCheck.Test.make ~name:"Devex+perturb warm path matches Dantzig objectives" ~count:200
-    (QCheck.make parity_gen) (fun (rows, b, senses, c) ->
-      let a = Matrix.of_rows rows in
+    (QCheck.make parity_gen) (fun (a, b, senses, c) ->
       match
         ( Tableau.solve_open ~pricing:Tableau.Devex ~perturb:true ~a ~b ~c ~senses (),
           Tableau.solve_open ~pricing:Tableau.Dantzig ~perturb:false ~a ~b ~c ~senses () )
@@ -846,8 +905,7 @@ let qcheck_devex_parity =
    degenerate — the regime Devex + perturbation exists for. *)
 let degenerate_cover_master ~pricing ~perturb =
   let m = 10 in
-  let rows = Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0)) in
-  let a = Matrix.of_rows rows in
+  let a = Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0)) in
   let b = Array.make m 1.0 in
   let senses = Array.make m Types.Le in
   let c = Array.make m 1.0 in
@@ -1149,7 +1207,7 @@ let suite = suite @ parity_suite @ stabilisation_suite @ sensitivity_suite
 (* Every result of one Eq. 6 master's warm chain on the shipped default
    path (Devex pricing, perturbation with its rollback), from scratch. *)
 let eq6_chain mst =
-  let a = Matrix.of_rows mst.rows in
+  let a = mst.rows in
   match Tableau.solve_open ~a ~b:mst.b ~c:mst.c ~senses:mst.senses () with
   | r, None -> [ r ]
   | r, Some st ->

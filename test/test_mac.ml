@@ -4,6 +4,7 @@
 module Event_queue = Wsn_mac.Event_queue
 module Dcf_config = Wsn_mac.Dcf_config
 module Sim = Wsn_mac.Sim
+module Sim_reference = Wsn_oracles.Sim_reference
 module Point = Wsn_net.Point
 module Topology = Wsn_net.Topology
 module Digraph = Wsn_graph.Digraph
@@ -246,7 +247,7 @@ let suite = suite @ latency_suite
 
 (* --- analytic saturation model (Bianchi) ------------------------------ *)
 
-module Saturation = Wsn_mac.Saturation
+module Saturation = Wsn_oracles.Saturation
 
 let test_saturation_single_station_closed_form () =
   let pred = Saturation.predict ~n_stations:1 ~rate_mbps:54.0 () in
@@ -314,7 +315,7 @@ let saturation_suite =
 
 let suite = suite @ saturation_suite
 
-(* --- fast-path parity: run vs run_reference --------------------------- *)
+(* --- fast-path parity: Sim.run vs Sim_reference.run ------------------- *)
 
 (* The event-driven loop must be byte-identical to the reference, so the
    whole stats record — floats, nans and all — is compared with
@@ -394,7 +395,7 @@ let qcheck_fast_matches_reference =
       | Some (topo, flows, config, duration_us, seed) ->
         stats_equal
           (Sim.run ~config ~seed topo ~flows ~duration_us)
-          (Sim.run_reference ~config ~seed topo ~flows ~duration_us))
+          (Sim_reference.run ~config ~seed topo ~flows ~duration_us))
 
 let qcheck_prepared_sharing_is_pure =
   (* One kernel shared across seeds and both configs changes nothing. *)
@@ -447,7 +448,7 @@ let test_idle_skip_credits_idleness_exactly () =
   let l = the_link topo 0 1 in
   let flows = [ { Sim.links = [ l ]; demand_mbps = 0.5 } ] in
   let fast = Sim.run topo ~flows ~duration_us:400_000 in
-  let slow = Sim.run_reference topo ~flows ~duration_us:400_000 in
+  let slow = Sim_reference.run topo ~flows ~duration_us:400_000 in
   check (Alcotest.array (Alcotest.float 0.0)) "bulk busy credit exact" slow.Sim.node_idleness
     fast.Sim.node_idleness
 
@@ -501,12 +502,12 @@ let check_fixed_parity ?(configs = [ Dcf_config.default ]) (topo, flows) ~durati
       List.iter
         (fun seed ->
           check Alcotest.bool
-            (Printf.sprintf "rts_cts %b, seed %Ld: run = run_reference" config.Dcf_config.rts_cts
+            (Printf.sprintf "rts_cts %b, seed %Ld: run = Sim_reference.run" config.Dcf_config.rts_cts
                seed)
             true
             (stats_equal
                (Sim.run ~config ~seed ~prepared topo ~flows ~duration_us)
-               (Sim.run_reference ~config ~seed topo ~flows ~duration_us)))
+               (Sim_reference.run ~config ~seed topo ~flows ~duration_us)))
         [ 1L; 2L; 3L ])
     configs
 
@@ -577,7 +578,7 @@ let both_modes config = [ config; Dcf_config.with_rts_cts config ]
 (* Busy slots of each node in a reference run, read back from its
    idleness. *)
 let reference_busy ~config ~seed (topo, flows) ~duration_us =
-  let st = Sim.run_reference ~config ~seed topo ~flows ~duration_us in
+  let st = Sim_reference.run ~config ~seed topo ~flows ~duration_us in
   let total = float_of_int (duration_us / config.Dcf_config.slot_us) in
   Array.map (fun idle -> int_of_float (Float.round ((1.0 -. idle) *. total))) st.Sim.node_idleness
 

@@ -5,7 +5,6 @@ let () =
     [
       ("telemetry", Test_telemetry.suite);
       ("prng", Test_prng.suite);
-      ("linalg", Test_linalg.suite);
       ("lp", Test_lp.suite);
       ("graph", Test_graph.suite);
       ("radio", Test_radio.suite);
