@@ -1,6 +1,7 @@
-# Convenience targets; CI runs `make check`.
+# Convenience targets; CI runs `make check`.  `make loc` and
+# `make unused-exports` report on the code and gate nothing.
 
-.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-whatif whatif-smoke loc clean
+.PHONY: all check test bench bench-quick perfcheck smoke artifacts artifacts-check artifacts-check-full sweep-smoke serve-smoke bench-serve bench-serve-full bench-scale scale-smoke bench-soak soak-smoke bench-whatif whatif-smoke loc unused-exports clean
 
 all:
 	dune build
@@ -185,6 +186,14 @@ loc:
 	done | awk '{ printf "%-14s %6d .ml %6d .mli %6d\n", $$1, $$2, $$3, $$2 + $$3; \
 	  all += $$2 + $$3; if ($$1 != "test") shipped += $$2 + $$3 } \
 	  END { printf "%-14s %30d\n%-14s %30d\n", "lib+bench+bin", shipped, "all", all }'
+
+# Each `val` of a lib/**/*.mli that no other tracked .ml/.mli under
+# lib, bin, bench or benchmark names (files compared by path, so two
+# pool.ml files stay apart), with the tests that still name it.  Whole
+# words, not scopes: a lead for review with possible false positives,
+# never a gate.
+unused-exports:
+	@python3 tools/unused_exports.py
 
 # Everything compiles, including examples and benches.
 smoke:

@@ -84,18 +84,14 @@ let upper_eq9 model ~background ~path =
   match rate_vectors model ~universe with
   | None -> None (* a demanded link supports no rate *)
   | Some vectors ->
-    let lp = Problem.create ~name:"upper-eq9" Types.Maximize in
-    let f = Problem.add_var lp ~obj:1.0 "f" in
+    let lp = Problem.create Types.Maximize in
+    let f = Problem.add_var ~obj:1.0 lp in
     let gammas_and_h =
-      List.mapi
-        (fun i vector ->
-          let gamma = Problem.add_var lp (Printf.sprintf "gamma%d" i) in
+      List.map
+        (fun vector ->
+          let gamma = Problem.add_var lp in
           let rate_of l = List.assoc l vector in
-          let h =
-            List.map
-              (fun l -> (l, Problem.add_var lp (Printf.sprintf "h%d_%d" i l)))
-              universe
-          in
+          let h = List.map (fun l -> (l, Problem.add_var lp)) universe in
           (* Per-link cap: h_ik <= gamma_i * r_ik. *)
           List.iter
             (fun (l, hv) ->
@@ -115,17 +111,13 @@ let upper_eq9 model ~background ~path =
           (gamma, h))
         vectors
     in
-    Problem.add_constraint lp ~name:"total-share"
-      (List.map (fun (g, _) -> (g, 1.0)) gammas_and_h)
-      Types.Le 1.0;
+    Problem.add_constraint lp (List.map (fun (g, _) -> (g, 1.0)) gammas_and_h) Types.Le 1.0;
     List.iter
       (fun l ->
         let supply = List.map (fun (_, h) -> (List.assoc l h, 1.0)) gammas_and_h in
         let demand = Flow.load_on background l in
         let f_term = if List.mem l path then [ (f, -1.0) ] else [] in
-        Problem.add_constraint lp
-          ~name:(Printf.sprintf "cover-link%d" l)
-          (supply @ f_term) Types.Ge demand)
+        Problem.add_constraint lp (supply @ f_term) Types.Ge demand)
       universe;
     (match Problem.solve lp with
      | Problem.Infeasible -> None
@@ -142,11 +134,9 @@ let lower_bound_restricted ?max_sets ~keep model ~background ~path =
   | _ ->
     let index = Hashtbl.create 16 in
     List.iteri (fun i l -> Hashtbl.replace index l i) universe;
-    let lp = Problem.create ~name:"lower-bound" Types.Maximize in
-    let f = Problem.add_var lp ~obj:1.0 "f" in
-    let lambda =
-      List.mapi (fun i (_ : Independent.column) -> Problem.add_var lp (Printf.sprintf "lambda%d" i)) columns
-    in
+    let lp = Problem.create Types.Maximize in
+    let f = Problem.add_var ~obj:1.0 lp in
+    let lambda = List.map (fun (_ : Independent.column) -> Problem.add_var lp) columns in
     Problem.add_constraint lp (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
     List.iter
       (fun l ->

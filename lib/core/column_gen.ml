@@ -56,7 +56,7 @@ type column = { assignment : Model.assignment; mbps : (int * float) list }
 
 (* A certified optimum's dual story, kept warm: the master tableau with
    its optimal basis, the variable handles needed to read a perturbed
-   solution back, and the duals/reduced costs frozen at convergence.
+   solution back, and the duals frozen at convergence.
    Built only when the exact pricer certified the final round —
    uncertified brackets have no optimal basis to differentiate. *)
 type sensitivity = {
@@ -66,10 +66,8 @@ type sensitivity = {
   s_u : int array;  (* universe links, row 1+i covers s_u.(i) *)
   s_uindex : int array;  (* universe index by link id, -1 outside *)
   s_background : Flow.t array;
-  s_bandwidth : float;
   s_sigma : float;  (* dual of the total-share budget row *)
   s_duals : float array;  (* cover-row duals per universe index, <= 0 *)
-  s_set_prices : (Model.assignment * float) list;
 }
 
 let big_m = 1e5
@@ -114,28 +112,21 @@ let dense_supply ~uindex ~nu (c : column) =
    Returns the LP plus the variable handles needed to read a solution. *)
 let build_master ~columns ~u ~uindex ~loads ~path =
   let nu = Array.length u in
-  let lp = Problem.create ~name:"cg-master" Types.Maximize in
-  let f = Problem.add_var lp ~obj:1.0 "f" in
-  let lambda =
-    List.mapi (fun i (_ : column) -> Problem.add_var lp (Printf.sprintf "lambda%d" i)) columns
-  in
-  let shortfall =
-    Array.mapi (fun _ l -> Problem.add_var lp ~obj:(-.big_m) (Printf.sprintf "s%d" l)) u
-  in
+  let lp = Problem.create Types.Maximize in
+  let f = Problem.add_var ~obj:1.0 lp in
+  let lambda = List.map (fun (_ : column) -> Problem.add_var lp) columns in
+  let shortfall = Array.map (fun _ -> Problem.add_var ~obj:(-.big_m) lp) u in
   let supplies = List.map (fun c -> dense_supply ~uindex ~nu c) columns in
-  Problem.add_constraint lp ~name:"total-share" (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
+  Problem.add_constraint lp (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
   let on_path = Array.map (fun l -> List.mem l path) u in
   Array.iteri
-    (fun i l ->
+    (fun i _ ->
       let supply =
         List.concat
           (List.map2 (fun v d -> if d.(i) <> 0.0 then [ (v, d.(i)) ] else []) lambda supplies)
       in
       let f_term = if on_path.(i) then [ (f, -1.0) ] else [] in
-      Problem.add_constraint lp
-        ~name:(Printf.sprintf "cover%d" l)
-        (((shortfall.(i), 1.0) :: supply) @ f_term)
-        Types.Ge loads.(i))
+      Problem.add_constraint lp (((shortfall.(i), 1.0) :: supply) @ f_term) Types.Ge loads.(i))
     u;
   (lp, f, lambda, shortfall)
 
@@ -433,9 +424,9 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
       (* Columns and handles are kept reversed; reversed once at reads. *)
       let columns_rev = ref (List.rev seed) in
       let lambda_rev = ref (List.rev lambda_seed) in
-      (* Freeze the dual story of a certified optimum: duals and
-         per-column reduced costs under the final basis, plus the
-         still-live warm handle for basis-reuse predictions. *)
+      (* Freeze the dual story of a certified optimum: the duals under
+         the final basis, plus the still-live warm handle for
+         basis-reuse predictions. *)
       let make_sens (s : Problem.solution) = function
         | Some r when r.certified ->
           Some
@@ -446,13 +437,8 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
               s_u = u;
               s_uindex = uindex;
               s_background = Array.of_list background;
-              s_bandwidth = r.bandwidth_mbps;
               s_sigma = s.Problem.row_duals.(0);
               s_duals = Array.init nu (fun i -> s.Problem.row_duals.(i + 1));
-              s_set_prices =
-                List.rev_map2
-                  (fun (c : column) v -> (c.assignment, Problem.warm_reduced_cost w v))
-                  !columns_rev !lambda_rev;
             }
         | Some _ | None -> None
       in
@@ -516,15 +502,11 @@ let available ?max_iterations ?pricer ?pool model ~background ~path =
    maximisation form: its negation prices one extra Mbps of background
    load on that link in lost available bandwidth. *)
 
-let sensitivity_bandwidth s = s.s_bandwidth
-
 let sigma_price s = s.s_sigma
 
 let link_prices s =
   Array.to_list
     (Array.mapi (fun i l -> (l, Float.max 0.0 (-.s.s_duals.(i)))) s.s_u)
-
-let set_prices s = s.s_set_prices
 
 let check_flow s k =
   if k < 0 || k >= Array.length s.s_background then

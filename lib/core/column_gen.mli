@@ -150,9 +150,9 @@ val available :
     A {e certified} optimum of Equation 6 carries its dual story: the
     binding independent-set time shares are the congestion.  The
     [_sens] entry points additionally return a {!sensitivity} — the
-    master tableau kept warm at its optimal basis plus the duals and
-    reduced costs frozen at convergence — on which shadow prices are
-    O(1) reads and demand-scaling what-ifs are O(m²) basis reuses
+    master tableau kept warm at its optimal basis plus the duals frozen
+    at convergence — on which shadow prices are O(1) reads and
+    demand-scaling what-ifs are O(m²) basis reuses
     ({!Wsn_lp.Problem.predict_rhs_delta}), falling back to a bounded
     re-pivot only outside the basis-stability range.  Uncertified
     brackets return [None]: a heuristic lower bound has no optimal
@@ -174,10 +174,6 @@ val available_sens :
     returning the dual view when the run converged certified and the
     background is feasible. *)
 
-val sensitivity_bandwidth : sensitivity -> float
-(** The certified available bandwidth the view was built at (equals the
-    originating result's [bandwidth_mbps]). *)
-
 val sigma_price : sensitivity -> float
 (** Shadow price of the total-share budget row: the Mbps of available
     bandwidth one extra unit of schedulable time would buy — the
@@ -189,12 +185,6 @@ val link_prices : sensitivity -> (int * float) list
     of background load on that link (the negated cover-row dual).
     Links of a mutually-conflicting clique saturate together, so the
     binding cliques are exactly the runs of positive prices. *)
-
-val set_prices : sensitivity -> (Wsn_conflict.Model.assignment * float) list
-(** Per-independent-set reduced costs, one per master column in
-    generation order: [0] on the sets the optimal schedule uses,
-    positive on sets whose forced use would cost that much objective —
-    the price of scheduling a non-optimal set. *)
 
 val flow_derivative : sensitivity -> int -> float
 (** [flow_derivative s k] is ∂(available bandwidth)/∂(demand of the

@@ -84,3 +84,24 @@ let all ~cliques obs =
     conservative = conservative ~cliques obs;
     expected_clique_time = expected_clique_time ~cliques obs;
   }
+
+let names = [ "bottleneck(10)"; "clique(11)"; "min(12)"; "conservative(13)"; "expected-T(15)" ]
+
+let values e =
+  [
+    e.bottleneck; e.clique_constraint; e.min_clique_bottleneck; e.conservative;
+    e.expected_clique_time;
+  ]
+
+let mean_abs_errors = function
+  | [] -> List.map (fun name -> (name, nan)) names
+  | pairs ->
+    let n = float_of_int (List.length pairs) in
+    let sums =
+      List.fold_left
+        (fun acc (est, truth) ->
+          List.map2 (fun s v -> s +. Float.abs (v -. truth)) acc (values est))
+        (List.map (fun _ -> 0.0) names)
+        pairs
+    in
+    List.map2 (fun name s -> (name, s /. n)) names sums

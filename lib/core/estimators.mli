@@ -52,3 +52,16 @@ type all = {
 
 val all : cliques:int list list -> t -> all
 (** All five estimators at once (the series of Fig. 4). *)
+
+val names : string list
+(** Labels of the five estimators in {!all}'s field order, paper
+    equation numbers included: ["bottleneck(10)"], ["clique(11)"],
+    ["min(12)"], ["conservative(13)"], ["expected-T(15)"]. *)
+
+val values : all -> float list
+(** The five values of an {!all}, in {!names} order. *)
+
+val mean_abs_errors : (all * float) list -> (string * float) list
+(** [mean_abs_errors pairs] labels, by {!names}, the mean
+    [|estimate − truth|] of each estimator over [(estimates, truth)]
+    pairs, summed in list order; [nan] each when [pairs] is empty. *)

@@ -26,13 +26,11 @@ let max_flow ?max_sets ?universe topo model ~background ~source ~target =
   let columns = Independent.columns ?max_sets model ~universe in
   let index = Hashtbl.create 64 in
   List.iteri (fun i l -> Hashtbl.replace index l i) universe;
-  let lp = Problem.create ~name:"joint-routing" Types.Maximize in
-  let f = Problem.add_var lp ~obj:1.0 "f" in
-  let lambda =
-    List.mapi (fun i (_ : Independent.column) -> Problem.add_var lp (Printf.sprintf "lambda%d" i)) columns
-  in
-  let g = List.map (fun l -> (l, Problem.add_var lp (Printf.sprintf "g%d" l))) universe in
-  Problem.add_constraint lp ~name:"total-share" (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
+  let lp = Problem.create Types.Maximize in
+  let f = Problem.add_var ~obj:1.0 lp in
+  let lambda = List.map (fun (_ : Independent.column) -> Problem.add_var lp) columns in
+  let g = List.map (fun l -> (l, Problem.add_var lp)) universe in
+  Problem.add_constraint lp (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
   (* Capacity per link: scheduled throughput covers background plus the
      new flow routed over it. *)
   List.iter
@@ -40,7 +38,6 @@ let max_flow ?max_sets ?universe topo model ~background ~source ~target =
       let i = Hashtbl.find index l in
       let supply = List.map2 (fun v (c : Independent.column) -> (v, c.mbps.(i))) lambda columns in
       Problem.add_constraint lp
-        ~name:(Printf.sprintf "cap-link%d" l)
         (supply @ [ (List.assoc l g, -1.0) ])
         Types.Ge (Flow.load_on background l))
     universe;
@@ -68,8 +65,7 @@ let max_flow ?max_sets ?universe topo model ~background ~source ~target =
         else if v = target then (f, 1.0) :: terms
         else terms
       in
-      if terms <> [] then
-        Problem.add_constraint lp ~name:(Printf.sprintf "conserve-node%d" v) terms Types.Eq 0.0)
+      if terms <> [] then Problem.add_constraint lp terms Types.Eq 0.0)
     nodes;
   match Problem.solve lp with
   | Problem.Infeasible -> None

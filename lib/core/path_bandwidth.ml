@@ -50,19 +50,13 @@ let solve ?max_sets model ~background ~new_path =
     let index = Hashtbl.create 16 in
     List.iteri (fun i l -> Hashtbl.replace index l i) universe;
     let objective = match new_path with Some _ -> Types.Maximize | None -> Types.Minimize in
-    let lp = Problem.create ~name:"path-bandwidth" objective in
+    let lp = Problem.create objective in
     let airtime_cost = match new_path with Some _ -> 0.0 | None -> 1.0 in
     let lambda =
-      List.mapi
-        (fun i (_ : Independent.column) ->
-          Problem.add_var lp ~obj:airtime_cost (Printf.sprintf "lambda%d" i))
-        columns
+      List.map (fun (_ : Independent.column) -> Problem.add_var ~obj:airtime_cost lp) columns
     in
-    let f = match new_path with
-      | Some _ -> Some (Problem.add_var lp ~obj:1.0 "f")
-      | None -> None
-    in
-    Problem.add_constraint lp ~name:"total-share" (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
+    let f = Option.map (fun _ -> Problem.add_var ~obj:1.0 lp) new_path in
+    Problem.add_constraint lp (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
     List.iter
       (fun link ->
         let i = Hashtbl.find index link in
@@ -75,9 +69,7 @@ let solve ?max_sets model ~background ~new_path =
           | _ -> []
         in
         let load = Flow.load_on background link in
-        Problem.add_constraint lp
-          ~name:(Printf.sprintf "cover-link%d" link)
-          (supply @ demand_terms) Types.Ge load)
+        Problem.add_constraint lp (supply @ demand_terms) Types.Ge load)
       universe;
     (match Problem.solve lp with
      | Problem.Infeasible -> None
@@ -128,21 +120,17 @@ let available_multi ?max_sets model ~background ~requests =
   Telemetry.incr m_lp_resolves;
   let index = Hashtbl.create 16 in
   List.iteri (fun i l -> Hashtbl.replace index l i) universe;
-  let lp = Problem.create ~name:"multi-flow" Types.Maximize in
-  let alpha = Problem.add_var lp ~obj:1.0 "alpha" in
-  let lambda =
-    List.mapi (fun i (_ : Independent.column) -> Problem.add_var lp (Printf.sprintf "lambda%d" i)) columns
-  in
-  Problem.add_constraint lp ~name:"total-share" (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
+  let lp = Problem.create Types.Maximize in
+  let alpha = Problem.add_var ~obj:1.0 lp in
+  let lambda = List.map (fun (_ : Independent.column) -> Problem.add_var lp) columns in
+  Problem.add_constraint lp (List.map (fun v -> (v, 1.0)) lambda) Types.Le 1.0;
   List.iter
     (fun link ->
       let i = Hashtbl.find index link in
       let supply = List.map2 (fun v (c : Independent.column) -> (v, c.mbps.(i))) lambda columns in
       let requested = Flow.load_on requests link in
       let terms = if requested > 0.0 then (alpha, -.requested) :: supply else supply in
-      Problem.add_constraint lp
-        ~name:(Printf.sprintf "cover-link%d" link)
-        terms Types.Ge (Flow.load_on background link))
+      Problem.add_constraint lp terms Types.Ge (Flow.load_on background link))
     universe;
   match Problem.solve lp with
   | Problem.Infeasible -> None

@@ -284,38 +284,8 @@ let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?(window_us = 1_000_00
   in
   { scenario = sc; mode; window_us; rows }
 
-let estimator_names =
-  [
-    "bottleneck(10)"; "clique(11)"; "min(12)"; "conservative(13)";
-    "expected-T(15)";
-  ]
-
-let values (e : Estimators.all) =
-  [
-    e.Estimators.bottleneck;
-    e.Estimators.clique_constraint;
-    e.Estimators.min_clique_bottleneck;
-    e.Estimators.conservative;
-    e.Estimators.expected_clique_time;
-  ]
-
-let zeros = [ 0.0; 0.0; 0.0; 0.0; 0.0 ]
-
-let mean_errors pairs =
-  match pairs with
-  | [] -> List.map (fun n -> (n, nan)) estimator_names
-  | _ ->
-      let n = float_of_int (List.length pairs) in
-      let sums =
-        List.fold_left
-          (fun acc (est, truth) ->
-            List.map2 (fun s v -> s +. Float.abs (v -. truth)) acc (values est))
-          zeros pairs
-      in
-      List.map2 (fun name s -> (name, s /. n)) estimator_names sums
-
 let tracking_errors t =
-  mean_errors
+  Estimators.mean_abs_errors
     (List.filter_map
        (fun r ->
          match r.estimates with
@@ -338,13 +308,13 @@ let staleness_errors t =
           prev := Some e
       | _ -> ())
     t.rows;
-  mean_errors (List.rev !pairs)
+  Estimators.mean_abs_errors (List.rev !pairs)
 
 let row_artifact r =
   let est =
     match r.estimates with
     | None -> "-"
-    | Some e -> String.concat "," (List.map (Printf.sprintf "%h") (values e))
+    | Some e -> String.concat "," (List.map (Printf.sprintf "%h") (Estimators.values e))
   in
   Printf.sprintf "%d|%h|%h|%d|%d|%d|%s|%d|%d|%b|%h|%b|%h|%s|%d|%d" r.index
     r.t_h r.demand_scale r.n_active r.n_links r.n_moved r.kernel_digest

@@ -81,13 +81,9 @@ val run :
     incremental-vs-rebuild kernel upkeep at sizes where a per-epoch LP
     would dominate. *)
 
-val estimator_names : string list
-(** Labels aligned with {!Wsn_availbw.Estimators.all}, paper equation
-    numbers included. *)
-
 val tracking_errors : t -> (string * float) list
-(** Mean [|estimate − truth|] per estimator over tracked epochs ([nan]
-    when none). *)
+(** Mean [|estimate − truth|] per estimator over tracked epochs,
+    labelled by {!Wsn_availbw.Estimators.names} ([nan] when none). *)
 
 val staleness_errors : t -> (string * float) list
 (** Mean [|previous tracked estimate − current truth|] per estimator:

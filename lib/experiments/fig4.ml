@@ -77,44 +77,12 @@ let compute ?(seed = default_seed) ?(metric = Metrics.Average_e2e_delay) () =
     run.Admission.steps;
   { seed; rows = List.rev !rows }
 
-let estimator_names =
-  [ "bottleneck(10)"; "clique(11)"; "min(12)"; "conservative(13)"; "expected-T(15)" ]
+let errors rows =
+  Estimators.mean_abs_errors (List.map (fun r -> (r.estimates, r.truth_mbps)) rows)
 
-let values (e : Estimators.all) =
-  [
-    e.Estimators.bottleneck;
-    e.Estimators.clique_constraint;
-    e.Estimators.min_clique_bottleneck;
-    e.Estimators.conservative;
-    e.Estimators.expected_clique_time;
-  ]
+let mean_abs_error t = errors t.rows
 
-let mean_abs_error t =
-  match t.rows with
-  | [] -> List.map (fun n -> (n, nan)) estimator_names
-  | rows ->
-    let n = float_of_int (List.length rows) in
-    let sums =
-      List.fold_left
-        (fun acc r ->
-          List.map2 (fun s v -> s +. Float.abs (v -. r.truth_mbps)) acc (values r.estimates))
-        [ 0.0; 0.0; 0.0; 0.0; 0.0 ] rows
-    in
-    List.map2 (fun name s -> (name, s /. n)) estimator_names sums
-
-let sweep_seeds ~seeds =
-  let all_rows = List.concat_map (fun seed -> (compute ~seed ()).rows) seeds in
-  match all_rows with
-  | [] -> List.map (fun n -> (n, nan)) estimator_names
-  | rows ->
-    let n = float_of_int (List.length rows) in
-    let sums =
-      List.fold_left
-        (fun acc r ->
-          List.map2 (fun s v -> s +. Float.abs (v -. r.truth_mbps)) acc (values r.estimates))
-        [ 0.0; 0.0; 0.0; 0.0; 0.0 ] rows
-    in
-    List.map2 (fun name s -> (name, s /. n)) estimator_names sums
+let sweep_seeds ~seeds = errors (List.concat_map (fun seed -> (compute ~seed ()).rows) seeds)
 
 let print ?seed () =
   let t = compute ?seed () in
@@ -123,7 +91,7 @@ let print ?seed () =
     "min(12)" "conservative(13)" "expected-T(15)";
   List.iter
     (fun r ->
-      match values r.estimates with
+      match Estimators.values r.estimates with
       | [ b; c; m; cons; e ] ->
         Printf.printf "%5d %8.2f %15.2f %12.2f %10.2f %17.2f %15.2f\n" r.flow_index r.truth_mbps b
           c m cons e

@@ -39,15 +39,8 @@ let print ?seed ?epochs ?n_nodes ?horizon_h ?window_us ?pricer ?rebuild () =
     (fun (r : Dsoak.epoch_row) ->
       let est =
         match r.Dsoak.estimates with
-        | Some e ->
-            [
-              e.Estimators.bottleneck;
-              e.Estimators.clique_constraint;
-              e.Estimators.min_clique_bottleneck;
-              e.Estimators.conservative;
-              e.Estimators.expected_clique_time;
-            ]
-        | None -> [ nan; nan; nan; nan; nan ]
+        | Some e -> Estimators.values e
+        | None -> List.map (fun _ -> nan) Estimators.names
       in
       match est with
       | [ b; c; m; cons; e ] ->

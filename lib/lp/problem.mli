@@ -1,54 +1,41 @@
-(** Incremental builder for linear programs with named variables.
+(** Incremental builder for the linear programs of this repository.
 
-    The bandwidth model creates one variable per independent set (plus
-    the flow variable) and one constraint per link; this module keeps
-    that construction readable and converts to the standard form required
-    by {!Tableau} on solve.  Variables carry optional bounds:
-
-    - a lower bound (default [0.0]; [neg_infinity] makes the variable
-      free, handled by splitting into a difference of two non-negative
-      variables),
-    - an optional upper bound (handled by an extra [≤] row). *)
+    Every LP the bandwidth model builds has one shape: non-negative
+    time shares λ_α plus flow variables, each [0 ≤ x] with an objective
+    coefficient and no upper bound, under sense-tagged rows.  This
+    module accumulates such a problem and hands it to {!Tableau} as a
+    dense standard form on solve.  A variable handle is its column:
+    declared variable [v] is column [v], and the [k]-th {!add_column}
+    of a warm handle is column [n + k] after [n] declared variables. *)
 
 type t
 (** A problem under construction (mutable). *)
 
 type var
-(** Handle to a declared variable. *)
+(** Handle to a declared or appended variable. *)
 
-val create : ?name:string -> Types.objective -> t
+val create : Types.objective -> t
 (** [create obj] starts an empty problem optimised in direction [obj]. *)
 
-val name : t -> string
-(** Problem name (defaults to ["lp"]). *)
+val add_var : ?obj:float -> t -> var
+(** [add_var t] declares a variable [0 ≤ x] with objective coefficient
+    [obj] (default [0.]). *)
 
-val add_var : t -> ?lower:float -> ?upper:float -> ?obj:float -> string -> var
-(** [add_var t name] declares a variable.  [obj] is its objective
-    coefficient (default [0.]).  Default bounds are [0 ≤ x].
-    @raise Invalid_argument if [upper < lower]. *)
-
-val add_constraint : t -> ?name:string -> (var * float) list -> Types.sense -> float -> unit
+val add_constraint : t -> (var * float) list -> Types.sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [Σ coeff·var  sense  rhs].
-    Repeated variables in [terms] are summed. *)
-
-val var_name : t -> var -> string
-(** The name given at declaration. *)
-
-val n_vars : t -> int
-(** Number of declared variables. *)
-
-val n_constraints : t -> int
-(** Number of added constraints. *)
+    Repeated variables in [terms] are summed.
+    @raise Invalid_argument on a variable not declared in [t]. *)
 
 type solution = {
-  objective : float;  (** Objective value in the caller's direction. *)
-  values : var -> float;  (** Optimal value of each declared variable. *)
+  objective : float;  (** Objective value in the caller's direction; never [-0.]. *)
+  values : var -> float;
+      (** Optimal value of each variable; never [-0.].
+          @raise Invalid_argument on a handle outside the solved problem. *)
   row_duals : float array;
-      (** One dual multiplier per {!add_constraint} call, in call order
-          (rows added internally for variable upper bounds are not
-          reported).  Multipliers refer to the {e maximisation} form the
-          solver works on: for a [Maximize] problem they are the usual
-          LP duals; for a [Minimize] problem they price the equivalent
+      (** One dual multiplier per {!add_constraint} call, in call order.
+          Multipliers refer to the {e maximisation} form the solver
+          works on: for a [Maximize] problem they are the usual LP
+          duals; for a [Minimize] problem they price the equivalent
           maximisation of the negated objective. *)
 }
 
@@ -58,7 +45,8 @@ type outcome =
   | Infeasible
 
 val solve : t -> outcome
-(** [solve t] runs the two-phase simplex on the accumulated problem. *)
+(** [solve t] runs the two-phase simplex (Dantzig pricing) on the
+    accumulated problem. *)
 
 type warm
 (** A solved problem kept warm so column generation can append one
@@ -73,17 +61,13 @@ val solve_warm : t -> outcome * warm option
     defaults) and returns exact optima of the unperturbed problem. *)
 
 val add_column : warm -> ?obj:float -> (int * float) list -> var
-(** [add_column w terms] appends a fresh variable with bounds [0 ≤ x],
+(** [add_column w terms] appends a fresh variable [0 ≤ x] with
     objective coefficient [obj] (default [0.], in the caller's
     direction) and coefficient [c] in the [i]-th {!add_constraint} row
     for each [(i, c)] of [terms].  The returned handle is valid for
     {!resolve} outcomes of [w] only.
-    @raise Invalid_argument on an unknown constraint index. *)
-
-val warm_n_vars : warm -> int
-(** Total variables visible through [w]: those declared at
-    {!solve_warm} time plus every {!add_column} append since.  Lets a
-    long-lived session report how much a warm tableau has grown. *)
+    @raise Invalid_argument on an unknown constraint index (before
+    anything is appended). *)
 
 val resolve : warm -> outcome
 (** Re-optimise from the previous basis (phase 2 only): the basis stays
@@ -95,8 +79,8 @@ val resolve : warm -> outcome
 
     Post-optimal queries on a warm handle whose last {!solve_warm} /
     {!resolve} returned [Solution _].  None of them mutate the handle:
-    predictions that leave the basis-stability range re-pivot a
-    snapshot and roll back, so subsequent {!resolve} calls still see
+    a prediction that leaves the basis-stability range re-pivots a
+    snapshot and rolls back, so subsequent {!resolve} calls still see
     the unperturbed problem. *)
 
 type prediction = {
@@ -107,11 +91,6 @@ type prediction = {
           bounded re-pivot ran. *)
 }
 
-val warm_basis : warm -> int array
-(** Opaque fingerprint of the current optimal basis (per-row basic
-    column indices); equal arrays across calls mean the basis — and
-    with it every sensitivity range — did not move. *)
-
 val warm_duals : warm -> float array
 (** Duals of the current basis, same convention and order as
     [row_duals] — one per {!add_constraint} row, maximisation form —
@@ -121,7 +100,7 @@ val warm_reduced_cost : warm -> var -> float
 (** Reduced cost [y·a − c] of a variable's column in the maximisation
     form: [≥ 0] at the optimum, [0] if basic; the rate at which the
     (maximisation) objective falls per unit of forced increase.
-    @raise Invalid_argument on an unknown or free variable. *)
+    @raise Invalid_argument on an unknown variable. *)
 
 val rhs_ranging : warm -> dir:(int * float) list -> float * float
 (** [rhs_ranging w ~dir] bounds the step [t] of the right-hand-side
@@ -136,26 +115,6 @@ val predict_rhs_delta : warm -> dir:(int * float) list -> t:float -> prediction
     a snapshotted dual-simplex re-pivot outside ([repivoted = true]).
     @raise Invalid_argument on an unknown constraint index. *)
 
-val obj_ranging : warm -> var -> float * float
-(** Interval of changes to a variable's objective coefficient (caller
-    direction) over which the current basis stays optimal;
-    [lo ≤ 0 ≤ hi], unbounded on the side that only makes the variable
-    less attractive.
-    @raise Invalid_argument on an unknown or free variable. *)
-
-val predict_obj_delta : warm -> var -> delta:float -> prediction
-(** Optimum after adding [delta] (caller direction) to a variable's
-    objective coefficient; analytic inside {!obj_ranging}, snapshotted
-    re-pivot outside.
-    @raise Invalid_argument on an unknown or free variable. *)
-
-val value_exn : outcome -> var -> float
-(** [value_exn o v] extracts a variable value.
-    @raise Failure if [o] is not [Solution _]. *)
-
 val objective_exn : outcome -> float
 (** [objective_exn o] extracts the optimal objective.
     @raise Failure if [o] is not [Solution _]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump of the model (for debugging). *)

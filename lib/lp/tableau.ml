@@ -381,16 +381,24 @@ let optimise_devex st ~allowed ~iters =
   in
   loop 0
 
-let extract st =
+(* The caller's [x] (originals, then appended columns) from one basic
+   value per row; nonbasic columns sit at zero. *)
+let primal st value_of_row =
   let tab = st.tab in
   let x = Array.make (st.n + st.appended) 0.0 in
   for i = 0 to tab.m - 1 do
     let j = tab.basis.(i) in
-    if j < st.n then x.(j) <- rhs tab i
-    else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- rhs tab i
+    if j < st.n then x.(j) <- value_of_row i
+    else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- value_of_row i
   done;
-  let duals = Array.init tab.m (fun i -> st.flip.(i) *. get tab tab.m st.sig_col.(i)) in
-  Optimal { x; objective = get tab tab.m tab.cap; duals }
+  x
+
+let dual_values st =
+  let tab = st.tab in
+  Array.init tab.m (fun i -> st.flip.(i) *. get tab tab.m st.sig_col.(i))
+
+let extract st =
+  Optimal { x = primal st (rhs st.tab); objective = rhs st.tab st.tab.m; duals = dual_values st }
 
 let solve_raw ~pricing ~perturb ~a ~b ~c ~senses =
   let m = Array.length a in
@@ -518,6 +526,13 @@ let solve ~a ~b ~c ~senses = fst (solve_open ~pricing:Dantzig ~perturb:false ~a 
    needs phase 2 only. *)
 let add_column st ~coeffs ~cost =
   let tab = st.tab in
+  (* Checked before anything grows, so a bad row leaves [st] as it was. *)
+  let a' = Array.make tab.m 0.0 in
+  List.iter
+    (fun (i, v) ->
+      if i < 0 || i >= tab.m then invalid_arg "Tableau.add_column: row out of range";
+      a'.(i) <- a'.(i) +. (st.flip.(i) *. v))
+    coeffs;
   if tab.ncols >= tab.cap then begin
     let cap' = (2 * tab.cap) + 8 in
     let data' = Array.make ((tab.m + 1) * (cap' + 1)) 0.0 in
@@ -539,12 +554,6 @@ let add_column st ~coeffs ~cost =
   end;
   let j = tab.ncols in
   tab.ncols <- j + 1;
-  let a' = Array.make tab.m 0.0 in
-  List.iter
-    (fun (i, v) ->
-      if i < 0 || i >= tab.m then invalid_arg "Tableau.add_column: row out of range";
-      a'.(i) <- a'.(i) +. (st.flip.(i) *. v))
-    coeffs;
   let d = tab.data in
   let s = stride tab in
   for i = 0 to tab.m - 1 do
@@ -644,18 +653,9 @@ let reoptimize st =
    mutation: the optimal basis B is implicit in [basis]/[sig_col], and
    because the signature columns hold B⁻¹e_i, both the dual vector and
    the response of the basic solution to a right-hand-side direction are
-   O(m²) reads.  The prediction entry points fall back to a bounded
-   re-pivot (dual simplex for rhs moves, primal for cost moves) behind a
-   full snapshot/rollback when the perturbation leaves the range over
-   which the current basis stays optimal. *)
-
-let basis_snapshot st = Array.copy st.tab.basis
-
-let dual_values st =
-  let tab = st.tab in
-  Array.init tab.m (fun i -> st.flip.(i) *. get tab tab.m st.sig_col.(i))
-
-let objective_value st = rhs st.tab st.tab.m
+   O(m²) reads.  A prediction falls back to a bounded dual-simplex
+   re-pivot behind a full snapshot/rollback when the move leaves the
+   range over which the current basis stays optimal. *)
 
 (* x index (as used by [extract] results) to tableau column. *)
 let tab_col_of_x st xi =
@@ -701,20 +701,6 @@ let rhs_range_of st g =
   (Float.min !lo 0.0, Float.max !hi 0.0)
 
 let rhs_ranging st ~dir = rhs_range_of st (direction_column st ~dir)
-
-(* Build a result from basic values supplied per row, without touching
-   the tableau (shape of [extract], values injected). *)
-let result_of_rows st ~value_of_row ~objective ~duals =
-  let tab = st.tab in
-  let x = Array.make (st.n + st.appended) 0.0 in
-  for i = 0 to tab.m - 1 do
-    let j = tab.basis.(i) in
-    let v = value_of_row i in
-    let v = if v < 0.0 then 0.0 else v in
-    if j < st.n then x.(j) <- v
-    else if j >= st.first_appended then x.(st.n + (j - st.first_appended)) <- v
-  done;
-  Optimal { x; objective; duals = Array.sub duals 0 tab.m }
 
 type dual_outcome = Dual_finished | Dual_infeasible
 
@@ -772,10 +758,13 @@ let predict_rhs st ~dir ~t =
   if t >= lo -. eps && t <= hi +. eps then
     (* Inside the optimality range the basis is unchanged: basic values
        and the objective move linearly, the duals not at all. *)
-    ( result_of_rows st
-        ~value_of_row:(fun i -> rhs tab i +. (t *. g.(i)))
-        ~objective:(objective_value st +. (t *. g.(tab.m)))
-        ~duals:(dual_values st),
+    let value_of_row i =
+      let v = rhs tab i +. (t *. g.(i)) in
+      if v < 0.0 then 0.0 else v
+    in
+    ( Optimal
+        { x = primal st value_of_row; objective = rhs tab tab.m +. (t *. g.(tab.m));
+          duals = dual_values st },
       false )
   else begin
     Telemetry.incr m_predict_repivots;
@@ -798,75 +787,6 @@ let predict_rhs st ~dir ~t =
         with
         | Unbounded_phase -> Unbounded
         | Finished -> extract st)
-    in
-    restore tab;
-    (outcome, true)
-  end
-
-let cost_ranging st xi =
-  let tab = st.tab in
-  let j = tab_col_of_x st xi in
-  let row = ref (-1) in
-  for i = 0 to tab.m - 1 do
-    if tab.basis.(i) = j then row := i
-  done;
-  if !row < 0 then (Float.neg_infinity, Float.max 0.0 (reduced_cost tab j))
-  else begin
-    (* Raising the basic column's cost by δ turns every other reduced
-       cost into z_k + δ·a_rk, which must stay ≥ 0. *)
-    let r = !row in
-    let lo = ref Float.neg_infinity and hi = ref Float.infinity in
-    for k = 0 to tab.ncols - 1 do
-      if k <> j && not (is_artificial tab k) then begin
-        let a = get tab r k in
-        if Float.abs a > eps then begin
-          let bound = -.reduced_cost tab k /. a in
-          if a > 0.0 then begin
-            if bound > !lo then lo := bound
-          end
-          else if bound < !hi then hi := bound
-        end
-      end
-    done;
-    (Float.min !lo 0.0, Float.max !hi 0.0)
-  end
-
-let predict_cost st ~col:xi ~delta =
-  Telemetry.incr m_predicts;
-  let tab = st.tab in
-  let j = tab_col_of_x st xi in
-  let row = ref (-1) in
-  for i = 0 to tab.m - 1 do
-    if tab.basis.(i) = j then row := i
-  done;
-  let lo, hi = cost_ranging st xi in
-  if delta >= lo -. eps && delta <= hi +. eps then
-    if !row < 0 then (extract st, false)
-    else begin
-      (* The basis (hence x) is unchanged; the objective moves by
-         δ·x_j and each dual by δ·(row r of B⁻¹). *)
-      let r = !row in
-      let duals = dual_values st in
-      for i = 0 to tab.m - 1 do
-        duals.(i) <- duals.(i) +. (st.flip.(i) *. delta *. get tab r st.sig_col.(i))
-      done;
-      ( result_of_rows st
-          ~value_of_row:(fun i -> rhs tab i)
-          ~objective:(objective_value st +. (delta *. rhs tab r))
-          ~duals,
-        false )
-    end
-  else begin
-    Telemetry.incr m_predict_repivots;
-    save tab;
-    set tab tab.m j (get tab tab.m j -. delta);
-    if !row >= 0 then add_scaled_row tab ~src:!row ~dst:tab.m delta;
-    let outcome =
-      match
-        optimise tab ~allowed:(fun j -> not (is_artificial tab j)) ~iters:m_phase2_iters
-      with
-      | Unbounded_phase -> Unbounded
-      | Finished -> extract st
     in
     restore tab;
     (outcome, true)

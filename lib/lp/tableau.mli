@@ -8,9 +8,12 @@
     v}
     with a dense tableau.  Phase 1 minimises the sum of artificial
     variables to find a basic feasible solution; phase 2 optimises the
-    real objective.  Entering columns follow Dantzig's rule and fall
+    real objective.  A cold solve prices by Dantzig's rule and falls
     back to Bland's rule after a stall threshold, which guarantees
-    termination.  Tolerances are absolute ([1e-9]); the LPs of this
+    termination.  A solved state stays warm for column generation
+    (column appends, phase-2 resolves under {!pricing}) and answers the
+    right-hand-side what-ifs: duals, reduced costs, rhs ranging and
+    prediction.  Tolerances are absolute ([1e-9]); the LPs of this
     repository are small and well-scaled. *)
 
 type pricing =
@@ -88,7 +91,8 @@ val add_column : state -> coeffs:(int * float) list -> cost:float -> int
     row order and sign) and objective coefficient [cost], returning its
     index into the [x] vector of subsequent {!reoptimize} results
     (appended columns follow the original [n]).
-    @raise Invalid_argument on a row index out of range. *)
+    @raise Invalid_argument on a row index out of range, before the
+    state changes. *)
 
 val reoptimize : state -> result
 (** Re-run phase 2 from the current basis.  [x] in the result has
@@ -106,25 +110,17 @@ val reoptimize : state -> result
 
     Post-optimal queries on a solved state.  All of them read the
     optimal basis through the signature columns (which hold B⁻¹e_i), so
-    a query costs O(m²) arithmetic and no pivots; the [predict_*]
-    entry points additionally fall back to a bounded re-pivot behind a
-    full snapshot/rollback when the perturbation leaves the optimality
-    range, so the state observable through {!reoptimize} is never
-    changed by a prediction.  Row indices refer to the original
-    constraint order and sign of {!solve_open}; x indices follow the
-    {!reoptimize} result layout (originals then appended). *)
-
-val basis_snapshot : state -> int array
-(** Per-row basic column indices of the current optimal basis (a copy;
-    entries index the internal tableau columns and are meaningful for
-    comparing bases across resolves, not for reading coefficients). *)
+    a query costs O(m²) arithmetic and no pivots; {!predict_rhs}
+    additionally falls back to a bounded re-pivot behind a full
+    snapshot/rollback when the move leaves the optimality range, so the
+    state observable through {!reoptimize} is never changed by a
+    prediction.  Row indices refer to the original constraint order and
+    sign of {!solve_open}; x indices follow the {!reoptimize} result
+    layout (originals then appended). *)
 
 val dual_values : state -> float array
 (** One dual per input row, identical to the [duals] of the last
     {!reoptimize} result: [Σ_i duals.(i)·b.(i) = objective]. *)
-
-val objective_value : state -> float
-(** Current objective cell (maximisation form). *)
 
 val reduced_cost_of : state -> int -> float
 (** [reduced_cost_of st xi] is the z-row entry [y·a_j − c_j] of the
@@ -147,18 +143,5 @@ val predict_rhs : state -> dir:(int * float) list -> t:float -> result * bool
     this is pure arithmetic on the factorized basis (flag [false]);
     outside, a snapshotted dual-simplex re-pivot computes the exact new
     optimum and rolls the tableau back (flag [true]).  Either way [st]
-    still describes the unperturbed problem afterwards. *)
-
-val cost_ranging : state -> int -> float * float
-(** [cost_ranging st xi] bounds the change [δ] of the objective
-    coefficient of x index [xi] (maximisation form) over which the
-    current basis stays optimal, [lo ≤ 0 ≤ hi] ([lo = -∞] on a
-    nonbasic column, whose coefficient may fall freely). *)
-
-val predict_cost : state -> col:int -> delta:float -> result * bool
-(** [predict_cost st ~col ~delta] evaluates the optimum after adding
-    [delta] to the objective coefficient of x index [col]
-    (maximisation form).  Inside the {!cost_ranging} interval the basis
-    and primal solution are unchanged (flag [false], objective and
-    duals adjusted analytically); outside, a snapshotted primal
-    re-pivot computes the exact optimum and rolls back (flag [true]). *)
+    still describes the unperturbed problem afterwards.
+    @raise Invalid_argument on a row index out of range. *)

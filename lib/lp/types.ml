@@ -1,12 +1,3 @@
 type sense = Le | Ge | Eq
 
 type objective = Maximize | Minimize
-
-let pp_sense fmt = function
-  | Le -> Format.pp_print_string fmt "<="
-  | Ge -> Format.pp_print_string fmt ">="
-  | Eq -> Format.pp_print_string fmt "="
-
-let pp_objective fmt = function
-  | Maximize -> Format.pp_print_string fmt "maximize"
-  | Minimize -> Format.pp_print_string fmt "minimize"

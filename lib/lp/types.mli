@@ -5,9 +5,3 @@ type sense = Le | Ge | Eq
 
 type objective = Maximize | Minimize
 (** Optimisation direction. *)
-
-val pp_sense : Format.formatter -> sense -> unit
-(** Prints [<=], [>=] or [=]. *)
-
-val pp_objective : Format.formatter -> objective -> unit
-(** Prints [maximize] or [minimize]. *)

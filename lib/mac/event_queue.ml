@@ -80,8 +80,3 @@ let rec drain_until q ~time f =
     f top.time top.payload;
     drain_until q ~time f
   end
-
-let pop_until q ~time =
-  let acc = ref [] in
-  drain_until q ~time (fun t payload -> acc := (t, payload) :: !acc);
-  List.rev !acc

@@ -31,7 +31,3 @@ val drain_until : 'a t -> time:int -> (int -> 'a -> unit) -> unit
     same call; callers that must not see same-batch reschedules (the
     simulator's arrival loop) collect payloads first and schedule
     afterwards. *)
-
-val pop_until : 'a t -> time:int -> (int * 'a) list
-(** [pop_until q ~time] removes and returns, in order, every event with
-    time at most [time].  Implemented on {!drain_until}. *)

@@ -143,15 +143,18 @@ let run ?(config = Dcf_config.default) ?(seed = 1L) topo ~flows ~duration_us =
   for slot = 0 to total_slots - 1 do
     let now_us = slot * slot_us in
     now_ref := now_us + slot_us;
-    (* 1. Traffic arrivals due in this slot. *)
+    (* 1. Traffic arrivals due in this slot, collected before any is
+       rescheduled so a same-slot reschedule waits for the next slot. *)
+    let due = ref [] in
+    Event_queue.drain_until arrivals ~time:(now_us + slot_us - 1) (fun _ i -> due := i :: !due);
     List.iter
-      (fun (_, i) ->
+      (fun i ->
         let spec = flows_arr.(i) in
         enqueue_frame (link_src (List.hd spec.Sim.links))
           { flow = i; remaining = spec.links; born_us = now_us };
         let next = now_us + int_of_float (interval_us i) in
         if next < duration_us then Event_queue.schedule arrivals ~time:next i)
-      (Event_queue.pop_until arrivals ~time:(now_us + slot_us - 1));
+      (List.rev !due);
     (* 2. Channel state from transmissions already in flight.  With
        RTS/CTS, the receiver's CTS silences its neighbourhood too
        (virtual carrier sensing). *)

@@ -11,6 +11,12 @@ module Digraph = Wsn_graph.Digraph
 
 let check = Alcotest.check
 
+(* Every event due by [time], in drain order, as [(time, payload)]. *)
+let drain q ~time =
+  let acc = ref [] in
+  Event_queue.drain_until q ~time (fun t payload -> acc := (t, payload) :: !acc);
+  List.rev !acc
+
 let test_event_queue_order () =
   let q = Event_queue.create () in
   Event_queue.schedule q ~time:30 "c";
@@ -22,7 +28,7 @@ let test_event_queue_order () =
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "ordered drain"
     [ (10, "a"); (20, "b"); (30, "c") ]
-    (Event_queue.pop_until q ~time:100);
+    (drain q ~time:100);
   check Alcotest.bool "empty after drain" true (Event_queue.is_empty q)
 
 let test_event_queue_fifo_ties () =
@@ -33,14 +39,14 @@ let test_event_queue_fifo_ties () =
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "insertion order on ties"
     [ (5, "first"); (5, "second") ]
-    (Event_queue.pop_until q ~time:5)
+    (drain q ~time:5)
 
-let test_event_queue_pop_until_partial () =
+let test_event_queue_partial () =
   let q = Event_queue.create () in
   List.iter (fun t -> Event_queue.schedule q ~time:t t) [ 1; 5; 9 ];
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "partial drain"
     [ (1, 1); (5, 5) ]
-    (Event_queue.pop_until q ~time:5);
+    (drain q ~time:5);
   check Alcotest.int "one left" 1 (Event_queue.size q)
 
 let test_event_queue_validation () =
@@ -54,7 +60,7 @@ let qcheck_event_queue_sorted =
     (fun times ->
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.schedule q ~time:t t) times;
-      let drained = List.map fst (Event_queue.pop_until q ~time:10_000) in
+      let drained = List.map fst (drain q ~time:10_000) in
       drained = List.sort compare times)
 
 let test_dcf_config () =
@@ -164,7 +170,7 @@ let suite =
   [
     Alcotest.test_case "event queue order" `Quick test_event_queue_order;
     Alcotest.test_case "event queue fifo ties" `Quick test_event_queue_fifo_ties;
-    Alcotest.test_case "event queue partial drain" `Quick test_event_queue_pop_until_partial;
+    Alcotest.test_case "event queue partial drain" `Quick test_event_queue_partial;
     Alcotest.test_case "event queue validation" `Quick test_event_queue_validation;
     QCheck_alcotest.to_alcotest qcheck_event_queue_sorted;
     Alcotest.test_case "dcf config" `Quick test_dcf_config;
