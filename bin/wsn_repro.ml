@@ -97,9 +97,8 @@ let with_common telem domains run =
 let pricer_of_string s =
   match s with
   | "exact" -> Wsn_availbw.Column_gen.Exact
-  | "heuristic" -> Wsn_availbw.Column_gen.Heuristic
   | "auto" -> Wsn_availbw.Column_gen.Auto
-  | other -> die exit_usage "unknown pricer %S (have: exact, heuristic, auto)" other
+  | other -> die exit_usage "--pricer must be exact or auto (got %S)" other
 
 let e1_cmd =
   let run telem domains = with_common telem domains (fun () -> Wsn_experiments.Scenario1.print ()) in
@@ -348,13 +347,17 @@ let scale_cmd =
     Arg.(value & opt string "30,100,300,1000" & info [ "n"; "nodes" ] ~docv:"SIZES" ~doc)
   in
   let pricer =
-    let doc = "Pricing tier: exact, heuristic or auto (default)." in
+    let doc =
+      "Pricing tier: $(b,exact) (branch-and-bound every round) or $(b,auto) (default; \
+       greedy, certified by the exact pricer on universes of at most 128 links)."
+    in
     Arg.(value & opt string "auto" & info [ "pricer" ] ~docv:"TIER" ~doc)
   in
   let max_iterations =
     let doc =
-      "Cap on master solves per query (0 = library default).  Heuristic tiers are \
-       anytime: a cap trades wall time for bracket gap."
+      "Cap on master solves per query (0 = library default).  Under $(b,auto) the \
+       query is anytime: a cap trades wall time for bracket gap (under $(b,exact), \
+       reaching it is an error)."
     in
     Arg.(value & opt int 0 & info [ "max-iterations" ] ~docv:"N" ~doc)
   in
@@ -380,7 +383,7 @@ let scale_cmd =
     (Cmd.info "scale"
        ~doc:
          "E16: bracket Eq. 6 availability on generated 100-1000-node topologies \
-          (heuristic column pricing vs the hard-conflict clique upper bound)")
+          (greedy column pricing vs the hard-conflict clique upper bound)")
     Term.(
       const run $ telemetry_arg $ domains_arg $ seed_arg 30L $ ns $ pricer $ max_iterations)
 
@@ -402,7 +405,7 @@ let soak_cmd =
     Arg.(value & opt int 1_000_000 & info [ "window-us" ] ~docv:"US" ~doc)
   in
   let pricer =
-    let doc = "Column pricing tier for the warm LP re-solves: exact, heuristic or auto (default)." in
+    let doc = "Column pricing tier for the warm LP re-solves: exact or auto (default)." in
     Arg.(value & opt string "auto" & info [ "pricer" ] ~docv:"TIER" ~doc)
   in
   let rebuild =
@@ -562,9 +565,8 @@ let serve_cmd =
   let pricer =
     let doc =
       "Column pricing tier for warm queries: $(b,exact) (default; branch-and-bound every \
-       round), $(b,heuristic) (greedy, uncertified lower bounds) or $(b,auto) (heuristic \
-       with exact certification on small universes — byte-identical to exact at the \
-       paper's scale)."
+       round) or $(b,auto) (greedy, with exact certification on universes of at most \
+       128 links — byte-identical to exact at the paper's scale)."
     in
     Arg.(value & opt string "exact" & info [ "pricer" ] ~docv:"TIER" ~doc)
   in

@@ -139,7 +139,7 @@ let local_cliques model ~path_links ~rate_of =
       incr j
     done;
     if !j > !last_end then begin
-      windows := List.init (!j - i + 1) (fun d -> arr.(i + d)) :: !windows;
+      windows := List.init (!j - i + 1) (fun d -> i + d) :: !windows;
       last_end := !j
     end
   done;

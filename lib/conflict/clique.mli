@@ -38,4 +38,6 @@ val local_cliques : Model.t -> path_links:int list -> rate_of:(int -> Wsn_radio.
 (** Local interference cliques of a path (§4): maximal runs of
     {e consecutive} path links that pairwise interfere at the rates
     given by [rate_of].  Follows the construction of reference [1].
-    Result windows are in path order and not contained in one another. *)
+    Each window is a list of 0-based positions into [path_links] (the
+    form {!Wsn_availbw.Estimators} takes); windows are in path order
+    and not contained in one another. *)

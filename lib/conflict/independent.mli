@@ -23,10 +23,6 @@ val enumerate_sets : ?max_sets:int -> Model.t -> universe:int list -> int list l
     @raise Failure when more than [max_sets] (default 200000) sets
     exist, as a combinatorial-explosion guard. *)
 
-val feasible_assignments : Model.t -> int list -> Model.assignment list
-(** All feasible all-positive rate assignments over a set (exponential
-    in the set size; sets here are small). *)
-
 val pareto_vectors : Model.t -> int list -> Wsn_radio.Rate.t list list
 (** Pareto-maximal feasible rate assignments over a set, as rate lists
     aligned with the (ascending) set.  Under a unique-maximum model this

@@ -41,7 +41,7 @@ let mem row base p = row.(base + (p / bits)) land (1 lsl (p mod bits)) <> 0
 
 let add row base p = row.(base + (p / bits)) <- row.(base + (p / bits)) lor (1 lsl (p mod bits))
 
-let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
+let max_weight_independent model ~weights ~universe =
   let tbl = Model.rates model in
   let mbps = Array.init (Rate.n_rates tbl) (Rate.mbps tbl) in
   (* Candidates: positive-weight live links, best-case value first. *)
@@ -49,7 +49,7 @@ let max_weight_independent ?(eps = 1e-9) model ~weights ~universe =
     List.filter_map
       (fun l ->
         let w = weights l in
-        if w <= eps then None
+        if w <= 1e-9 then None
         else
           match Model.alone_best model l with
           | None -> None

@@ -37,13 +37,12 @@
     [pricing.nodes]. *)
 
 val max_weight_independent :
-  ?eps:float ->
   Model.t ->
   weights:(int -> float) ->
   universe:int list ->
   (Model.assignment * float) option
 (** [max_weight_independent model ~weights ~universe] returns a best
     assignment together with its value, or [None] when no link with
-    positive weight can transmit.  Links with weight at most [eps]
-    (default [1e-9]) are ignored — they cannot improve the objective
+    positive weight can transmit.  Links with weight at most [1e-9]
+    are ignored — they cannot improve the objective
     and only constrain the rest. *)

@@ -124,10 +124,10 @@ let upper_eq9 model ~background ~path =
      | Problem.Unbounded -> failwith "Bounds.upper_eq9: LP unbounded (model bug)"
      | Problem.Solution s -> Some s.Problem.objective)
 
-let lower_bound_restricted ?max_sets ~keep model ~background ~path =
+let lower_bound_restricted ~keep model ~background ~path =
   let universe = List.sort_uniq compare (Flow.union_links background @ path) in
   let columns =
-    List.filter keep (Independent.columns ?max_sets ~filter_dominated:false model ~universe)
+    List.filter keep (Independent.columns ~filter_dominated:false model ~universe)
   in
   match columns with
   | [] -> None
@@ -150,7 +150,7 @@ let lower_bound_restricted ?max_sets ~keep model ~background ~path =
      | Problem.Unbounded -> failwith "Bounds.lower_bound_restricted: LP unbounded"
      | Problem.Solution s -> Some s.Problem.objective)
 
-let singleton_lower_bound ?max_sets model ~background ~path =
-  lower_bound_restricted ?max_sets
+let singleton_lower_bound model ~background ~path =
+  lower_bound_restricted
     ~keep:(fun c -> List.length c.Independent.links = 1)
     model ~background ~path

@@ -26,9 +26,9 @@ val clique_upper :
     cliques are grown around every path link; the bound is the minimum
     over them (floored at 0 — an over-committed background proves
     nothing is admittable).  O(|path| · |universe|²) pairwise checks,
-    each O(1) on kernel-backed models — the upper bracket for the
-    heuristic pricing tier, where Eq. 9's [Z^L] enumeration is
-    unreachable.
+    each O(1) on kernel-backed models — the upper bracket for
+    {!Column_gen.Auto}'s uncertified lower bounds, where Eq. 9's [Z^L]
+    enumeration is unreachable.
     @raise Invalid_argument on an empty path. *)
 
 val upper_eq9 :
@@ -45,7 +45,6 @@ val upper_eq9 :
     enumerated. *)
 
 val lower_bound_restricted :
-  ?max_sets:int ->
   keep:(Wsn_conflict.Independent.column -> bool) ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
@@ -57,6 +56,6 @@ val lower_bound_restricted :
     the kept columns (the true model may still be feasible). *)
 
 val singleton_lower_bound :
-  ?max_sets:int -> Wsn_conflict.Model.t -> background:Flow.t list -> path:int list -> float option
+  Wsn_conflict.Model.t -> background:Flow.t list -> path:int list -> float option
 (** {!lower_bound_restricted} keeping only single-link columns — pure
     TDMA with no spatial reuse, the weakest useful lower bound. *)

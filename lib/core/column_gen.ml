@@ -35,7 +35,7 @@ let m_whatifs = Telemetry.counter "colgen.whatifs"
 
 let m_whatif_repivots = Telemetry.counter "colgen.whatif_repivots"
 
-type pricer = Exact | Heuristic | Auto
+type pricer = Exact | Auto
 
 let auto_exact_max = 128
 
@@ -201,7 +201,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
     lazy
       (match pricer with
        | Exact -> None
-       | Heuristic | Auto ->
+       | Auto ->
          (match Pricing_greedy.shards model universe with
           | [] | [ _ ] -> None
           | ss -> Some ss))
@@ -210,7 +210,7 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
     Pricing_greedy.max_weight_independent ?shards:(Lazy.force shard_parts) model ~weights
       ~universe
   in
-  (* Cover seeding, heuristic tiers only, past the exact-fallback
+  (* Cover seeding, [Auto] only, past the exact-fallback
      threshold: repeatedly run the greedy with already-covered links
      damped to zero until every link sits in some multi-link column.
      On large masters the initial solve is orders of magnitude cheaper
@@ -222,8 +222,8 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
   let cover_seed =
     match pricer with
     | Exact -> []
-    | (Heuristic | Auto) when nu <= auto_exact_max -> []
-    | Heuristic | Auto ->
+    | Auto when nu <= auto_exact_max -> []
+    | Auto ->
       let used = Array.make nu false in
       let w l = if by_link used l then 0.0 else 1.0 +. by_link loads l in
       let pooled_keys = Hashtbl.create 64 in
@@ -293,12 +293,6 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
     let exact () = improving (Pricing.max_weight_independent model ~weights:w ~universe) in
     match pricer with
     | Exact -> (match exact () with Some a -> `Improving [ a ] | None -> `Converged true)
-    | Heuristic -> (
-        match heuristic () with
-        | Some cols -> `Improving cols
-        | None ->
-          Telemetry.incr m_uncertified;
-          `Converged false)
     | Auto -> (
         match heuristic () with
         | Some cols -> `Improving cols
@@ -382,11 +376,12 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
   let finish ~f ~shares ~shortfall ~columns ~iterations ~certified =
     if shortfall > 1e-6 && certified then None
     else begin
-      (* Residual shortfall at an uncertified stop (iteration cap or a
-         stalled heuristic) is not an infeasibility proof — more
-         columns might still cover the background — so report the only
-         safe anytime lower bound, zero, rather than [None].  The [f]
-         value is meaningless while the cover is short. *)
+      (* Residual shortfall at an uncertified stop (iteration cap, or a
+         stalled heuristic past the exact-fallback ceiling) is not an
+         infeasibility proof — more columns might still cover the
+         background — so report the only safe anytime lower bound, zero,
+         rather than [None].  The [f] value is meaningless while the
+         cover is short. *)
       let f = if shortfall > 1e-6 then 0.0 else f in
       let slots =
         List.map2
@@ -449,10 +444,10 @@ let available_sens ?(max_iterations = 1000) ?(pricer = Exact) ?pool model ~backg
       in
       let rec iterate k (s : Problem.solution) =
         if k > max_iterations then begin
-          (* Anytime semantics for the heuristic tiers: the master
-             optimum over the columns priced so far is a feasible —
-             hence valid, merely uncertified — lower bound.  Only the
-             exact pricer treats cap exhaustion as a bug. *)
+          (* Anytime semantics under [Auto]: the master optimum over
+             the columns priced so far is a feasible — hence valid,
+             merely uncertified — lower bound.  Only the exact pricer
+             treats cap exhaustion as a bug. *)
           if pricer = Exact then failwith "Column_gen: did not converge";
           Telemetry.incr m_uncertified;
           (stop s ~iterations:max_iterations ~certified:false, None)

@@ -37,22 +37,20 @@ type result = {
   certified : bool;
       (** Whether the final pricing round proved no improving column
           exists (exact pricer had the last word).  Always true under
-          {!Exact}; false when the {!Heuristic} tier stalls or {!Auto}
-          skips the exact fallback on a large universe. *)
+          {!Exact}; false when {!Auto} skips the exact fallback on a
+          large universe or stops at the iteration cap. *)
 }
 
 type pricer =
   | Exact  (** Branch-and-bound pricing every round (the reference). *)
-  | Heuristic
-      (** {!Wsn_conflict.Pricing_greedy} every round; converges when
-          the heuristic stalls — an uncertified lower bound. *)
   | Auto
-      (** Heuristic first; when it stalls, fall back to the exact
-          pricer if the universe has at most {!auto_exact_max} links
-          (certifying optimality — and, below that size, reaching the
-          same optimum as {!Exact}), otherwise stop with the
-          heuristic's lower bound.  Bracket it from above with
-          {!Bounds.clique_upper}. *)
+      (** {!Wsn_conflict.Pricing_greedy} first; when it stalls, fall
+          back to the exact pricer if the universe has at most
+          {!auto_exact_max} links (certifying optimality — and, below
+          that size, reaching the same optimum as {!Exact}), otherwise
+          stop with the greedy's uncertified lower bound: the universe
+          size alone decides whether a query is certified.  Bracket
+          the lower bound from above with {!Bounds.clique_upper}. *)
 
 (** {b Master simplex.}  The master's warm resolves run Devex
     reference-weight pricing with candidate-list partial pricing, plus
@@ -60,23 +58,22 @@ type pricer =
     ({!Wsn_lp.Problem.solve_warm}): far cheaper than textbook Dantzig
     pricing on large degenerate cover masters, and the same optimum.
 
-    {b Dual stabilisation.}  Under a heuristic tier, pricing rounds see
-    the true duals clamped into a boxstep trust region around a
-    stability centre (the duals of the last round that priced an
-    improving column).  Candidates found
-    under the smoothed duals are re-valued under the {e true} duals and
-    appended only while genuinely improving, so the master optimum and
-    all certification semantics are exactly those of the unstabilised
-    loop; a stalled smoothed round widens the box (×4) and retries
-    until it swallows the true duals.  The {!Exact} tier never sees
-    smoothed duals.  Telemetry: [colgen.stab_box_widenings]. *)
+    {b Dual stabilisation.}  Under {!Auto}, pricing rounds see the true
+    duals clamped into a boxstep trust region around a stability centre
+    (the duals of the last round that priced an improving column).
+    Candidates found under the smoothed duals are re-valued under the
+    {e true} duals and appended only while genuinely improving, so the
+    master optimum and all certification semantics are exactly those of
+    the unstabilised loop; a stalled smoothed round widens the box (×4)
+    and retries until it swallows the true duals.  The {!Exact} tier
+    never sees smoothed duals.  Telemetry: [colgen.stab_box_widenings]. *)
 
 val auto_exact_max : int
 (** Universe-size ceiling (links) for {!Auto}'s exact fallback, fixed
     at 128: above it, certification is skipped and the result is a
     lower bound. *)
 
-(** {b Batched heuristic pricing.}  A heuristic pricing round may add
+(** {b Batched heuristic pricing.}  A greedy pricing round may add
     up to 8 columns before the master resolves.  After the first
     improving column the greedy re-runs with this round's used links
     damped to zero weight, forcing disjoint supports; each batched
@@ -85,9 +82,9 @@ val auto_exact_max : int
     dominates wall time, so batching cuts it by up to that factor.  The
     {!Exact} tier is unaffected (always one column per round). *)
 
-(** {b Cover seeding.}  Under a heuristic tier on a universe above
-    {!auto_exact_max}, the seed additionally contains a greedy {e
-    cover}: the pricer is re-run with already-covered links damped to
+(** {b Cover seeding.}  Under {!Auto} on a universe above
+    {!auto_exact_max}, the seed additionally contains a greedy
+    {e cover}: the pricer is re-run with already-covered links damped to
     zero weight until every link sits in some multi-link column.  On
     large masters the initial solve prices in seed columns orders of
     magnitude cheaper than post-pricing warm resolves (which stall on
@@ -130,8 +127,8 @@ val available :
     resumes the simplex from the previous basis — phase 2 only, no
     rebuild.
 
-    [pricer] (default {!Exact}) selects the pricing tier; the
-    heuristic tiers price one shard per carrier-sense locality
+    [pricer] (default {!Exact}) selects the pricing tier; {!Auto}'s
+    greedy rounds price one shard per carrier-sense locality
     component ({!Wsn_conflict.Pricing_greedy.shards}).  [pool] seeds
     the master from a cross-query {!pool} (columns whose links all lie
     in this query's universe) and records every newly priced
@@ -141,9 +138,9 @@ val available :
     @raise Invalid_argument on an empty or repeated-link path.
     @raise Failure under {!Exact} if [max_iterations] (default 1000)
     master solves do not converge (indicates a pricing bug, not a hard
-    instance).  The heuristic tiers are {e anytime}: at the cap they
-    return the current master optimum as an uncertified lower bound
-    instead of raising, so a caller can trade wall time for gap. *)
+    instance).  {!Auto} is {e anytime}: at the cap it returns the
+    current master optimum as an uncertified lower bound instead of
+    raising, so a caller can trade wall time for gap. *)
 
 (** {1 Congestion pricing and what-if queries}
 
@@ -186,18 +183,14 @@ val link_prices : sensitivity -> (int * float) list
     Links of a mutually-conflicting clique saturate together, so the
     binding cliques are exactly the runs of positive prices. *)
 
-val flow_derivative : sensitivity -> int -> float
-(** [flow_derivative s k] is ∂(available bandwidth)/∂(demand of the
-    [k]-th background flow) at the optimum, in Mbps per Mbps — [≤ 0];
-    the sum of the cover-row duals along the flow's path.
-    @raise Invalid_argument on a flow index out of range. *)
-
 val throttle_ranking : sensitivity -> (int * float) list
 (** Background flows ranked by what admission would gain from
-    squeezing them: [(flow index, gain)] with
-    [gain = -flow_derivative], sorted by descending gain (ties keep
-    flow order).  The head is the flow an operator should throttle
-    first to admit more traffic on the probed path. *)
+    squeezing them: [(flow index, gain)] where [-gain] is
+    ∂(available bandwidth)/∂(demand of that flow) at the optimum, in
+    Mbps per Mbps (the sum of the cover-row duals along the flow's
+    path), sorted by descending gain (ties keep flow order).  The head
+    is the flow an operator should throttle first to admit more
+    traffic on the probed path. *)
 
 val scale_ranging : sensitivity -> int -> float * float
 (** [scale_ranging s k] bounds the demand-scaling factor of flow [k]

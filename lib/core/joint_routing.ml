@@ -12,7 +12,7 @@ type result = {
   schedule : Schedule.t;
 }
 
-let max_flow ?max_sets ?universe topo model ~background ~source ~target =
+let max_flow ?universe topo model ~background ~source ~target =
   let n = Topology.n_nodes topo in
   if source < 0 || source >= n || target < 0 || target >= n then
     invalid_arg "Joint_routing.max_flow: node out of range";
@@ -23,7 +23,7 @@ let max_flow ?max_sets ?universe topo model ~background ~source ~target =
     | None -> List.map (fun e -> e.Digraph.id) (Topology.links topo)
   in
   let universe = List.sort_uniq compare (Flow.union_links background @ candidate_links) in
-  let columns = Independent.columns ?max_sets model ~universe in
+  let columns = Independent.columns model ~universe in
   let index = Hashtbl.create 64 in
   List.iteri (fun i l -> Hashtbl.replace index l i) universe;
   let lp = Problem.create Types.Maximize in

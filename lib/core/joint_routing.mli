@@ -17,8 +17,9 @@
         λ, g, f ≥ 0
     v}
     where [g] is the new flow on each link.  Enumerating columns for
-    {e all} links of a topology is exponential in the worst case; the
-    [max_sets] guard applies.  Use on small/medium networks (the
+    {e all} links of a topology is exponential in the worst case, and
+    {!Wsn_conflict.Independent.columns} fails past its default
+    200000-set guard.  Use on small/medium networks (the
     30-node scenario works because interference keeps independent sets
     small). *)
 
@@ -29,7 +30,6 @@ type result = {
 }
 
 val max_flow :
-  ?max_sets:int ->
   ?universe:int list ->
   Wsn_net.Topology.t ->
   Wsn_conflict.Model.t ->

@@ -79,33 +79,32 @@ let solve ?max_sets model ~background ~new_path =
        let bandwidth = match f with Some fv -> s.Problem.values fv | None -> 0.0 in
        Some (bandwidth, schedule_of_columns columns shares, List.length columns))
 
-let available ?max_sets model ~background ~path =
+let result_of (bw, schedule, n) = { bandwidth_mbps = bw; schedule; n_columns = n }
+
+let available model ~background ~path =
   validate_path path;
-  match solve ?max_sets model ~background ~new_path:(Some path) with
-  | None -> None
-  | Some (bw, schedule, n) -> Some { bandwidth_mbps = bw; schedule; n_columns = n }
+  Option.map result_of (solve model ~background ~new_path:(Some path))
 
 let path_capacity ?max_sets model ~path =
-  match available ?max_sets model ~background:[] ~path with
-  | Some r -> r
+  validate_path path;
+  match solve ?max_sets model ~background:[] ~new_path:(Some path) with
+  | Some r -> result_of r
   | None -> failwith "Path_bandwidth.path_capacity: empty background cannot be infeasible"
 
-let background_schedule ?max_sets model flows =
+let background_schedule model flows =
   match flows with
   | [] -> Some Schedule.empty
-  | _ -> (
-    match solve ?max_sets model ~background:flows ~new_path:None with
-    | None -> None
-    | Some (_, schedule, _) -> Some schedule)
+  | _ ->
+    Option.map (fun (_, schedule, _) -> schedule) (solve model ~background:flows ~new_path:None)
 
-let feasible ?max_sets model flows = background_schedule ?max_sets model flows <> None
+let feasible model flows = background_schedule model flows <> None
 
 type multi_result = {
   scale : float;
   multi_schedule : Schedule.t;
 }
 
-let available_multi ?max_sets model ~background ~requests =
+let available_multi model ~background ~requests =
   if requests = [] then invalid_arg "Path_bandwidth.available_multi: no requests";
   List.iter
     (fun r ->
@@ -115,7 +114,7 @@ let available_multi ?max_sets model ~background ~requests =
   let universe =
     List.sort_uniq compare (Flow.union_links background @ Flow.union_links requests)
   in
-  let columns = Independent.columns ?max_sets model ~universe in
+  let columns = Independent.columns model ~universe in
   Telemetry.add m_columns (List.length columns);
   Telemetry.incr m_lp_resolves;
   let index = Hashtbl.create 16 in

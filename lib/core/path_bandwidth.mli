@@ -15,7 +15,6 @@ type result = {
 }
 
 val available :
-  ?max_sets:int ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
   path:int list ->
@@ -29,16 +28,16 @@ val available :
 val path_capacity : ?max_sets:int -> Wsn_conflict.Model.t -> path:int list -> result
 (** [path_capacity model ~path] is {!available} with no background —
     the end-to-end capacity of the path (the quantity maximised in
-    Section 5.1's four-link chain). *)
+    Section 5.1's four-link chain).  [max_sets] caps the independent-set
+    enumeration ({!Wsn_conflict.Independent.columns}). *)
 
-val background_schedule :
-  ?max_sets:int -> Wsn_conflict.Model.t -> Flow.t list -> Wsn_sched.Schedule.t option
+val background_schedule : Wsn_conflict.Model.t -> Flow.t list -> Wsn_sched.Schedule.t option
 (** [background_schedule model flows] finds a schedule meeting all
     background demands while minimising total airtime [Σ λ_α] — the
     schedule an efficient coordinator would run, used to derive channel
     idleness.  [None] when the demands are infeasible. *)
 
-val feasible : ?max_sets:int -> Wsn_conflict.Model.t -> Flow.t list -> bool
+val feasible : Wsn_conflict.Model.t -> Flow.t list -> bool
 (** Whether the demand set is schedulable at all. *)
 
 type multi_result = {
@@ -47,7 +46,6 @@ type multi_result = {
 }
 
 val available_multi :
-  ?max_sets:int ->
   Wsn_conflict.Model.t ->
   background:Flow.t list ->
   requests:Flow.t list ->

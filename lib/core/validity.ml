@@ -8,6 +8,8 @@ type report = {
   worst_clique : int list;
 }
 
+(* Clique time share [T_C] of every maximal clique of [universe] under
+   the fixed rates. *)
 let clique_times model ~universe ~throughput ~rate_of =
   let tbl = Model.rates model in
   let cliques = Clique.maximal_cliques_at model ~links:universe ~rate_of in

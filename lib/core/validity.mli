@@ -13,15 +13,6 @@ type report = {
   worst_clique : int list;  (** A clique attaining the maximum. *)
 }
 
-val clique_times :
-  Wsn_conflict.Model.t ->
-  universe:int list ->
-  throughput:(int -> float) ->
-  rate_of:(int -> Wsn_radio.Rate.t) ->
-  (int list * float) list
-(** Clique time share [T_C] of every maximal clique of [universe] under
-    the fixed rates. *)
-
 val max_clique_time :
   Wsn_conflict.Model.t ->
   universe:int list ->

@@ -63,20 +63,6 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Local interference cliques of [path] as index windows into the path
-   (same derivation as the Fig. 4 experiment). *)
-let local_clique_indices model topo path =
-  let rate_of l = Topology.alone_rate topo l in
-  let cliques = Clique.local_cliques model ~path_links:path ~rate_of in
-  let index_of l =
-    let rec find i = function
-      | [] -> invalid_arg "Soak: clique link not on path"
-      | l' :: rest -> if l' = l then i else find (i + 1) rest
-    in
-    find 0 path
-  in
-  List.map (List.map index_of) cliques
-
 let remove_nth k l =
   let rec go k acc = function
     | [] -> invalid_arg "Soak: flow departure index out of range"
@@ -252,7 +238,9 @@ let run ?(mode = Incremental) ?(pricer = Column_gen.Auto) ?(window_us = 1_000_00
                        })
                      path)
               in
-              let cliques = local_clique_indices model topo path in
+              let cliques =
+                Clique.local_cliques model ~path_links:path ~rate_of:(Topology.alone_rate topo)
+              in
               let est = Estimators.all ~cliques obs in
               (true, truth, certified, upper, Some est, cols, pooled, lp_s,
                mac_s)

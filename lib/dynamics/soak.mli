@@ -90,9 +90,7 @@ val staleness_errors : t -> (string * float) list
     the cost of acting on one-epoch-old information ([nan] with fewer
     than two tracked epochs). *)
 
-val row_artifact : epoch_row -> string
-(** The row's mode-independent fields (hex floats, no wall times, no
-    kernel op) — byte-comparable across prepare modes and runs. *)
-
 val artifact : t -> string
-(** All rows' {!row_artifact}s, newline-joined. *)
+(** Every row's mode-independent fields (hex floats, no wall times, no
+    kernel op), one newline-joined line per row — byte-comparable
+    across prepare modes and runs. *)

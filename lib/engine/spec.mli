@@ -26,12 +26,6 @@ val canonical : t -> string
 (** One line, no newline: [kind=K seed=S n_flows=N demand=H metric=M]
     with [H] in [%h] (exact hexadecimal) notation. *)
 
-val of_canonical : string -> (t, string) result
-(** Inverse of {!canonical}; [Error] explains the first malformed
-    field. *)
-
 val hash : t -> string
 (** Lower-case hex MD5 of {!canonical} — the content-address of the
     job (the cache key additionally mixes in the code fingerprint). *)
-
-val equal : t -> t -> bool

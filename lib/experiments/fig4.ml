@@ -22,20 +22,6 @@ type t = {
 
 let default_seed = 30L
 
-(* Local interference cliques of [path] (link ids, alone rates) as index
-   windows into the path. *)
-let local_clique_indices model topo path =
-  let rate_of l = Topology.alone_rate topo l in
-  let cliques = Clique.local_cliques model ~path_links:path ~rate_of in
-  let index_of l =
-    let rec find i = function
-      | [] -> invalid_arg "Fig4: clique link not on path"
-      | l' :: rest -> if l' = l then i else find (i + 1) rest
-    in
-    find 0 path
-  in
-  List.map (List.map index_of) cliques
-
 let observe topo schedule path =
   Array.of_list
     (List.map
@@ -64,7 +50,9 @@ let compute ?(seed = default_seed) ?(metric = Metrics.Average_e2e_delay) () =
            | None -> assert false
          in
          let obs = observe topo schedule path in
-         let cliques = local_clique_indices model topo path in
+         let cliques =
+           Clique.local_cliques model ~path_links:path ~rate_of:(Topology.alone_rate topo)
+         in
          let estimates = Estimators.all ~cliques obs in
          rows :=
            { flow_index = step.Admission.index; truth_mbps = step.Admission.available_mbps; estimates }

@@ -20,9 +20,6 @@ type t = {
   entries : entry list;
 }
 
-val policies : unit -> (string * (Wsn_net.Topology.t -> Wsn_conflict.Model.t -> (int * int * float) list -> Wsn_routing.Admission.run)) list
-(** The compared policies, keyed by label. *)
-
 val compute : ?seed:int64 -> unit -> t
 (** Run every policy on the Fig. 3 scenario (default seed 30). *)
 

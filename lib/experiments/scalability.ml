@@ -17,7 +17,10 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let run ?(lengths = [ 8; 12; 16; 20 ]) ?(max_sets = 500_000) () =
+(* Enumeration guard, above the library default of 200000 sets. *)
+let max_sets = 500_000
+
+let run ?(lengths = [ 8; 12; 16; 20 ]) () =
   List.map
     (fun n ->
       let topo = Builders.chain ~spacing_m:55.0 n in

@@ -15,7 +15,7 @@ type row = {
   cg_seconds : float;
 }
 
-val run : ?lengths:int list -> ?max_sets:int -> unit -> row list
+val run : ?lengths:int list -> unit -> row list
 (** Default chain lengths 8/12/16/20 nodes at 55 m spacing; enumeration
     guard 500000 sets. *)
 

@@ -1,4 +1,4 @@
-(** E16 — Eq. 6 availability at 100–1000 nodes (heuristic pricing tier).
+(** E16 — Eq. 6 availability at 100–1000 nodes (greedy-first pricing).
 
     Generates a density-preserving scaled topology
     ({!Wsn_workload.Scenarios.Scale_scenario}), routes the drawn flows
@@ -10,7 +10,7 @@
     hard-conflict clique upper bound ({!Wsn_availbw.Bounds.clique_upper}).
     Under [Auto] on a small universe the bracket's lower side is the
     certified Eq. 6 optimum; past {!Wsn_availbw.Column_gen.auto_exact_max}
-    (128) links the gap measures what the heuristic tier trades for scale. *)
+    (128) links the gap measures what greedy pricing trades for scale. *)
 
 type row = {
   n_nodes : int;
@@ -38,7 +38,7 @@ val query :
   row
 (** One bracketed availability query on a generated [n_nodes]-node
     scenario.  [pricer] defaults to [Auto].  [max_iterations] bounds
-    the master solves — under a heuristic tier the query is anytime, so
+    the master solves — under [Auto] the query is anytime, so
     a cap trades wall time for bracket gap (the lower side stays a
     valid bound, merely uncertified).  Deterministic in [seed] apart
     from [seconds]. *)

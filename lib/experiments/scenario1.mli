@@ -12,11 +12,8 @@ type row = {
   idle_estimate_mbps : float;  (** Idle-time estimate [(1-2λ)·r] under the uncoordinated schedule. *)
 }
 
-val default_grid : float list
-(** [0.0, 0.05, ..., 0.5]. *)
-
 val rows : ?grid:float list -> unit -> row list
-(** Compute the sweep. *)
+(** Compute the sweep (default grid [0.0, 0.05, ..., 0.5]). *)
 
 val print : ?grid:float list -> unit -> unit
 (** Print the table to stdout. *)

@@ -124,6 +124,7 @@ let fig3_of_payload payload =
     go [] rest)
   | [] -> Error "fig3 payload: empty"
 
+(* Admitted-flow count of a fig3 payload; 0 on parse failure. *)
 let admitted_of_payload payload =
   match fig3_of_payload payload with
   | Ok (_, _, run) -> Fig3.admitted_count run

@@ -22,18 +22,6 @@ val runner : Wsn_engine.Spec.t -> string
 (** Execute one spec; the payload is a pure function of the spec.
     @raise Failure on unknown kinds/metrics and for kind ["fail"]. *)
 
-val fig3_payload_of_run :
-  spec:Wsn_engine.Spec.t -> nodes:int -> links:int -> Wsn_routing.Admission.run -> string
-(** Render one admission run as the ["fig3"] payload (exact [%h]
-    floats; one [step] line per flow). *)
-
-val fig3_of_payload :
-  string -> (int * int * Wsn_routing.Admission.run, string) result
-(** Parse a ["fig3"] payload back into [(nodes, links, run)]. *)
-
-val admitted_of_payload : string -> int
-(** Admitted-flow count of a ["fig3"] payload; [0] on parse failure. *)
-
 val table : (Wsn_engine.Spec.t * string) list -> string
 (** Re-render sweep results (spec, payload) as e3 text blocks, one per
     seed in first-appearance order, blank-line separated.  Byte-identical

@@ -1,3 +1,5 @@
+(* A component identifier in [0 .. count-1] per node; edges are
+   treated as undirected. *)
 let component_ids g =
   let n = Digraph.n_nodes g in
   let ids = Array.make n (-1) in

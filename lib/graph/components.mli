@@ -3,10 +3,6 @@
     Topology generators retry placements until the network is connected;
     this module provides the check. *)
 
-val component_ids : Digraph.t -> int array
-(** [component_ids g] labels every node with a component identifier in
-    [0 .. count-1]; edges are treated as undirected. *)
-
 val count : Digraph.t -> int
 (** Number of connected components (isolated nodes count). *)
 

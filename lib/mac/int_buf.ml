@@ -1,8 +1,6 @@
 type t = { mutable a : int array; mutable n : int }
 
-let create ?(capacity = 16) () =
-  if capacity < 1 then invalid_arg "Int_buf.create: capacity must be >= 1";
-  { a = Array.make capacity 0; n = 0 }
+let create () = { a = Array.make 16 0; n = 0 }
 
 let length t = t.n
 

@@ -9,9 +9,8 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** An empty buffer (default initial capacity 16).
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> t
+(** An empty buffer (initial capacity 16). *)
 
 val length : t -> int
 

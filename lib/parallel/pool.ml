@@ -150,30 +150,6 @@ let map pool f xs =
 
 let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 
-let chunked_map pool ?chunk_size f xs =
-  let n = Array.length xs in
-  if pool.size <= 1 || n <= 1 then Array.map f xs
-  else begin
-    let chunk =
-      match chunk_size with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Wsn_parallel.Pool.chunked_map: chunk_size must be >= 1"
-      | None -> max 1 (n / (8 * pool.size))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let out = Array.make n None in
-    run_job pool ~n:nchunks (fun c ->
-        let lo = c * chunk in
-        let hi = min n (lo + chunk) in
-        for i = lo to hi - 1 do
-          out.(i) <- Some (f (Array.unsafe_get xs i))
-        done);
-    collect out
-  end
-
-let map_reduce pool ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map pool f xs)
-
 (* Process-global pool.  The whole mutable state lives behind a single
    ref so [reset_after_fork] can replace it wholesale without touching
    a mutex that some other domain may have held at fork time. *)

@@ -6,8 +6,8 @@
     plain sequential loop.  Work items are claimed by atomic index so
     jobs with many more items than domains balance themselves, and
     results are always delivered {e in input order} — the parallel
-    output of {!map}, {!chunked_map} and {!map_reduce} is byte-identical
-    to the sequential one whenever the item function is pure.
+    output of {!map} and {!map_list} is byte-identical to the
+    sequential one whenever the item function is pure.
 
     Because submitters help drain their own job (and any job enqueued
     after it), nested fan-outs from inside an item cannot deadlock even
@@ -45,18 +45,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)
-
-val chunked_map : t -> ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
-(** As {!map}, but items are claimed in contiguous chunks
-    ([chunk_size] defaults to [length / (8 * size)], at least 1) so
-    per-item claim overhead vanishes for many small items. *)
-
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a array -> 'acc
-(** [map_reduce pool ~map ~reduce ~init xs] maps in parallel and then
-    folds the results left-to-right {e in input order} — the
-    accumulator never sees an interleaving-dependent order, so the
-    result equals the sequential [fold_left (fun a x -> reduce a (map x)) init]. *)
 
 (** {2 Process-global pool}
 

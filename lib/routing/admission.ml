@@ -26,6 +26,8 @@ type run = {
   first_failure : int option;
 }
 
+(* A route chooser: sees the admitted background and its efficient
+   schedule (for idleness measurements) and proposes a link path. *)
 type router =
   background:Flow.t list ->
   schedule:Schedule.t ->
@@ -35,12 +37,12 @@ type router =
 
 let admission_eps = 1e-6
 
-let run_with ?(stop_on_failure = true) ?max_sets ~label ~router _topo model ~flows =
+let run_with ?(stop_on_failure = true) ~label ~(router : router) model ~flows =
   let rec go index background steps = function
     | [] -> (List.rev steps, None)
     | (source, target, demand_mbps) :: rest ->
       let schedule =
-        match Path_bandwidth.background_schedule ?max_sets model background with
+        match Path_bandwidth.background_schedule model background with
         | Some s -> s
         | None ->
           (* Admission only ever admits feasible sets. *)
@@ -51,7 +53,7 @@ let run_with ?(stop_on_failure = true) ?max_sets ~label ~router _topo model ~flo
         match path with
         | None -> 0.0
         | Some p -> (
-          match Path_bandwidth.available ?max_sets model ~background ~path:p with
+          match Path_bandwidth.available model ~background ~path:p with
           | Some r -> r.Path_bandwidth.bandwidth_mbps
           | None -> 0.0)
       in
@@ -80,22 +82,20 @@ let run_with ?(stop_on_failure = true) ?max_sets ~label ~router _topo model ~flo
   in
   { label; steps; first_failure }
 
-let run ?stop_on_failure ?max_sets topo model ~metric ~flows =
+let run ?stop_on_failure topo model ~metric ~flows =
   let router ~background ~schedule ~source ~target =
     ignore background;
     let idleness = Idleness.table_link_idleness topo (Idleness.node_table topo schedule) in
     Router.find_path topo ~metric ~idleness ~source ~target
   in
-  run_with ?stop_on_failure ?max_sets ~label:(Metrics.name metric) ~router topo model ~flows
+  run_with ?stop_on_failure ~label:(Metrics.name metric) ~router model ~flows
 
-let run_strategy ?stop_on_failure ?max_sets topo model ~strategy ~flows =
+let run_strategy ?stop_on_failure topo model ~strategy ~flows =
   let router ~background ~schedule ~source ~target =
     ignore schedule;
     Qos_routing.find_path topo model ~background ~strategy ~source ~target
   in
-  run_with ?stop_on_failure ?max_sets
-    ~label:(Qos_routing.strategy_name strategy)
-    ~router topo model ~flows
+  run_with ?stop_on_failure ~label:(Qos_routing.strategy_name strategy) ~router model ~flows
 
 let admitted_flows run =
   List.filter_map

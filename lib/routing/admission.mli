@@ -24,48 +24,27 @@ type run = {
   first_failure : int option;  (** 1-based index of the first unsatisfied flow. *)
 }
 
-type router =
-  background:Wsn_availbw.Flow.t list ->
-  schedule:Wsn_sched.Schedule.t ->
-  source:int ->
-  target:int ->
-  int list option
-(** A route chooser: sees the admitted background and its efficient
-    schedule (for idleness measurements) and proposes a link path. *)
-
-val run_with :
-  ?stop_on_failure:bool ->
-  ?max_sets:int ->
-  label:string ->
-  router:router ->
-  Wsn_net.Topology.t ->
-  Wsn_conflict.Model.t ->
-  flows:(int * int * float) list ->
-  run
-(** [run_with ~label ~router topo model ~flows] processes
-    [(source, target, demand)] triples in order.  [stop_on_failure]
-    defaults to [true] (the paper's protocol). *)
-
 val run :
   ?stop_on_failure:bool ->
-  ?max_sets:int ->
   Wsn_net.Topology.t ->
   Wsn_conflict.Model.t ->
   metric:Metrics.t ->
   flows:(int * int * float) list ->
   run
-(** {!run_with} routing by an additive metric (Dijkstra with idleness
-    from the background schedule); [label] is the metric's name. *)
+(** [run topo model ~metric ~flows] processes [(source, target,
+    demand)] triples in order, routing each by an additive metric
+    (Dijkstra with idleness from the background schedule); [label] is
+    the metric's name.  [stop_on_failure] defaults to [true] (the
+    paper's protocol). *)
 
 val run_strategy :
   ?stop_on_failure:bool ->
-  ?max_sets:int ->
   Wsn_net.Topology.t ->
   Wsn_conflict.Model.t ->
   strategy:Qos_routing.strategy ->
   flows:(int * int * float) list ->
   run
-(** {!run_with} routing by bandwidth-aware candidate selection
+(** As {!run}, routing by bandwidth-aware candidate selection
     ({!Qos_routing}); [label] is the strategy's name. *)
 
 val admitted_flows : run -> Wsn_availbw.Flow.t list

@@ -32,18 +32,6 @@ let strategy_name = function
   | Estimator_select { k; estimator } -> Printf.sprintf "select-%s-k%d" (estimator_name estimator) k
   | Oracle_select { k } -> Printf.sprintf "oracle-k%d" k
 
-let local_clique_indices model topo path =
-  let rate_of l = Topology.alone_rate topo l in
-  let cliques = Clique.local_cliques model ~path_links:path ~rate_of in
-  let index_of l =
-    let rec find i = function
-      | [] -> invalid_arg "Qos_routing: clique link not on path"
-      | l' :: rest -> if l' = l then i else find (i + 1) rest
-    in
-    find 0 path
-  in
-  List.map (List.map index_of) cliques
-
 let estimate_path topo model ~schedule estimator path =
   if path = [] then invalid_arg "Qos_routing.estimate_path: empty path";
   let obs =
@@ -56,7 +44,7 @@ let estimate_path topo model ~schedule estimator path =
            })
          path)
   in
-  let cliques = local_clique_indices model topo path in
+  let cliques = Clique.local_cliques model ~path_links:path ~rate_of:(Topology.alone_rate topo) in
   match estimator with
   | Bottleneck -> Estimators.bottleneck obs
   | Clique_constraint -> Estimators.clique_constraint ~cliques obs

@@ -40,8 +40,8 @@ let is_feasible model t =
   total_share t <= 1.0 +. 1e-9
   && List.for_all (fun s -> Model.feasible model (List.combine s.links s.rates)) t.slots
 
-let meets_demands ?(eps = 1e-6) tbl t demands =
-  List.for_all (fun (l, d) -> throughput tbl t l >= d -. eps) demands
+let meets_demands tbl t demands =
+  List.for_all (fun (l, d) -> throughput tbl t l >= d -. 1e-6) demands
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

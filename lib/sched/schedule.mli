@@ -39,10 +39,9 @@ val is_feasible : Wsn_conflict.Model.t -> t -> bool
 (** Whether every slot's assignment is feasible under the model and the
     total share is at most [1 + 1e-9]. *)
 
-val meets_demands : ?eps:float -> Wsn_radio.Rate.table -> t -> (int * float) list -> bool
+val meets_demands : Wsn_radio.Rate.table -> t -> (int * float) list -> bool
 (** [meets_demands tbl t demands] checks
-    [throughput l ≥ demand_l - eps] for every pair (default
-    [eps = 1e-6]). *)
+    [throughput l ≥ demand_l - 1e-6] for every pair. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints one line per slot: [λ=0.30 {L1@36, L4@54}]. *)

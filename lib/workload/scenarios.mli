@@ -79,7 +79,7 @@ module Random_scenario : sig
       (default 2.0).  Deterministic in [seed]. *)
 end
 
-(** {1 Scale scenarios — large topologies for the heuristic tier} *)
+(** {1 Scale scenarios — large topologies for greedy-first pricing} *)
 
 module Scale_scenario : sig
   type t = {

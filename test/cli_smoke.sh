@@ -111,6 +111,12 @@ expect_exit 0 "scale runs" "$BIN" scale -n 12 --seed 7
 expect_exit 2 "scale --lp-pricing is retired" "$BIN" scale -n 12 --lp-pricing devex
 expect_exit 2 "soak --stabilize is retired" "$BIN" soak --stabilize on
 expect_exit 2 "serve --shards is retired" "$BIN" serve --shards 0 </dev/null
+# Two pricing tiers remain; the retired greedy-only value is a usage
+# error that names the flag.
+for cmd in "scale -n 12" soak serve; do
+  expect_exit 2 "$cmd --pricer heuristic is retired" "$BIN" $cmd --pricer heuristic </dev/null
+  assert "$cmd --pricer heuristic names the flag" grep -q -- --pricer "$T/stderr"
+done
 
 # --- whatif: sensitivity engine exit-code policy and determinism ------
 WHATIF=(whatif -n 12 --seed 7)

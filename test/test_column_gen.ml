@@ -76,8 +76,8 @@ let qcheck_pricing_matches_enumeration =
 (* --- column generation ----------------------------------------------- *)
 
 (* Bare path capacity: column generation with no background. *)
-let path_capacity ?pricer model ~path =
-  match Column_gen.available ?pricer model ~background:[] ~path with
+let path_capacity model ~path =
+  match Column_gen.available model ~background:[] ~path with
   | Some r -> r
   | None -> Alcotest.fail "no background cannot be infeasible"
 
@@ -282,30 +282,26 @@ let qcheck_auto_equals_exact_declared =
       | None, None -> true
       | _ -> false)
 
-let test_heuristic_tier_uncertified_lower_bound () =
-  (* Pure heuristic tier on the chain: a valid lower bound on 16.2,
-     flagged uncertified or — if the greedy happens to stall at the
-     optimum — still never above it. *)
-  let r = path_capacity ~pricer:Column_gen.Heuristic S2.model ~path:S2.path in
-  check Alcotest.bool "lower bound" true (r.Column_gen.bandwidth_mbps <= 16.2 +. 1e-6);
-  check Alcotest.bool "positive" true (r.Column_gen.bandwidth_mbps > 0.0);
-  check Alcotest.bool "uncertified" false r.Column_gen.certified;
-  check Alcotest.bool "witness feasible" true
-    (Schedule.is_feasible S2.model r.Column_gen.schedule)
-
 let test_anytime_iteration_cap () =
-  (* A one-iteration cap under the heuristic tier must return (not
-     raise) and stay a valid lower bound; Exact keeps raising. *)
+  (* A zero-iteration cap under Auto stops before any pricing round:
+     it returns (not raises) the singleton master's optimum — the TDMA
+     value, a valid lower bound on 16.2 — flagged uncertified, with a
+     feasible witness.  Exact keeps raising at the cap. *)
   let r =
-    Column_gen.available ~max_iterations:1 ~pricer:Column_gen.Heuristic S2.model
-      ~background:[] ~path:S2.path
+    Column_gen.available ~max_iterations:0 ~pricer:Column_gen.Auto S2.model ~background:[]
+      ~path:S2.path
   in
   (match r with
    | Some r ->
-     check Alcotest.bool "anytime lower bound" true
-       (r.Column_gen.bandwidth_mbps <= 16.2 +. 1e-6);
-     check Alcotest.bool "uncertified at cap" false r.Column_gen.certified
-   | None -> Alcotest.fail "heuristic tier must not claim infeasibility");
+     let tdma =
+       Option.get (Wsn_availbw.Bounds.singleton_lower_bound S2.model ~background:[] ~path:S2.path)
+     in
+     check float_tol "TDMA value" tdma r.Column_gen.bandwidth_mbps;
+     check Alcotest.bool "anytime lower bound" true (tdma < 16.2);
+     check Alcotest.bool "uncertified at cap" false r.Column_gen.certified;
+     check Alcotest.bool "witness feasible" true
+       (Schedule.is_feasible S2.model r.Column_gen.schedule)
+   | None -> Alcotest.fail "an uncertified stop must not claim infeasibility");
   Alcotest.check_raises "exact still raises" (Failure "Column_gen: did not converge")
     (fun () ->
       ignore
@@ -331,8 +327,6 @@ let heuristic_suite =
     QCheck_alcotest.to_alcotest qcheck_heuristic_below_exact;
     QCheck_alcotest.to_alcotest qcheck_auto_equals_exact;
     QCheck_alcotest.to_alcotest qcheck_auto_equals_exact_declared;
-    Alcotest.test_case "heuristic tier lower bound" `Quick
-      test_heuristic_tier_uncertified_lower_bound;
     Alcotest.test_case "anytime iteration cap" `Quick test_anytime_iteration_cap;
     Alcotest.test_case "shards partition" `Quick test_shards_partition;
   ]

@@ -43,13 +43,7 @@ let test_spec_roundtrip () =
   let line = Spec.canonical s in
   check Alcotest.string "canonical shape"
     "kind=fig3 seed=42 n_flows=8 demand=0x1.4p+1 metric=average-e2eD" line;
-  (match Spec.of_canonical line with
-   | Ok s' -> check Alcotest.bool "roundtrip" true (Spec.equal s s')
-   | Error msg -> Alcotest.fail msg);
   check Alcotest.string "hash is canonical md5" (Digest.to_hex (Digest.string line)) (Spec.hash s);
-  (match Spec.of_canonical "kind=fig3 seed=x n_flows=8 demand=2 metric=m" with
-   | Ok _ -> Alcotest.fail "bad seed accepted"
-   | Error _ -> ());
   match Spec.make ~kind:"no spaces" ~seed:1L ~n_flows:1 ~demand_mbps:1.0 ~metric:"m" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind with a space accepted"

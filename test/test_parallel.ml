@@ -27,18 +27,8 @@ let test_map_order () =
 
 let test_map_variants () =
   Pool.with_pool ~domains:3 (fun pool ->
-      let xs = Array.init 41 Fun.id in
-      let expect = Array.map succ xs in
-      check Alcotest.(array int) "chunked_map default chunking" expect (Pool.chunked_map pool succ xs);
-      check Alcotest.(array int) "chunked_map explicit chunk_size" expect
-        (Pool.chunked_map pool ~chunk_size:5 succ xs);
       check Alcotest.(list int) "map_list" (List.init 17 succ)
-        (Pool.map_list pool succ (List.init 17 Fun.id));
-      check Alcotest.int "map_reduce sums every item" (41 * 42 / 2)
-        (Pool.map_reduce pool ~map:succ ~reduce:( + ) ~init:0 xs);
-      Alcotest.check_raises "chunk_size 0 rejected"
-        (Invalid_argument "Wsn_parallel.Pool.chunked_map: chunk_size must be >= 1") (fun () ->
-          ignore (Pool.chunked_map pool ~chunk_size:0 succ xs)))
+        (Pool.map_list pool succ (List.init 17 Fun.id)))
 
 let test_exception_propagates () =
   Pool.with_pool ~domains:4 (fun pool ->
