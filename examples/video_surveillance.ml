@@ -62,15 +62,7 @@ let () =
                 path)
          in
          let rate_of l = Topology.alone_rate topo l in
-         let cliques =
-           Clique.local_cliques model ~path_links:path ~rate_of
-           |> List.map (List.map (fun l ->
-                  let rec idx i = function
-                    | [] -> assert false
-                    | l' :: rest -> if l' = l then i else idx (i + 1) rest
-                  in
-                  idx 0 path))
-         in
+         let cliques = Clique.local_cliques model ~path_links:path ~rate_of in
          let est = Estimators.conservative ~cliques obs in
          Printf.printf "camera %2d: %d hops, truth %.2f Mbps, conservative estimate %.2f -> %s\n"
            step.Admission.source (List.length path) step.Admission.available_mbps est

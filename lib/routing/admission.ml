@@ -26,18 +26,12 @@ type run = {
   first_failure : int option;
 }
 
-(* A route chooser: sees the admitted background and its efficient
-   schedule (for idleness measurements) and proposes a link path. *)
-type router =
-  background:Flow.t list ->
-  schedule:Schedule.t ->
-  source:int ->
-  target:int ->
-  int list option
-
 let admission_eps = 1e-6
 
-let run_with ?(stop_on_failure = true) ~label ~(router : router) model ~flows =
+(* [router] is the route chooser: it sees the admitted background and
+   its efficient schedule (for idleness measurements) and proposes a
+   link path. *)
+let run_with ?(stop_on_failure = true) ~label ~router model ~flows =
   let rec go index background steps = function
     | [] -> (List.rev steps, None)
     | (source, target, demand_mbps) :: rest ->
